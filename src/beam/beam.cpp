@@ -1,10 +1,7 @@
 #include "beam/beam.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
-#include <thread>
 
 #include "common/check.hpp"
 
@@ -14,8 +11,6 @@ namespace {
 using inject::FaultSpec;
 using inject::FaultTarget;
 using inject::InjectionRecord;
-using inject::InjectionRunner;
-using inject::RunResult;
 }  // namespace
 
 BeamResult run_beam_experiment(const avp::Testcase& tc,
@@ -30,15 +25,31 @@ BeamResult run_beam_experiment(const avp::Testcase& tc,
     tel->campaign_start("beam", cfg.seed, cfg.num_events, /*resumed=*/0);
   }
 
-  const avp::GoldenResult golden = avp::run_golden(tc);
-  core::Pearl6Model ref_model(cfg.core);
-  emu::Emulator ref_emu(ref_model);
-  const emu::GoldenTrace trace =
-      avp::run_reference(ref_model, ref_emu, tc, /*max_cycles=*/200000,
-                         /*record_states=*/true);
+  // Beam observability: the experimenter cannot watch internal state, so
+  // the golden-hash early exit is off — classification uses only RAS
+  // reporting and the end-of-test compare, like the real irradiation runs.
+  // This is also why beam is pinned to the scalar runner (a CampaignWorker)
+  // rather than dispatching through sfi::InjectionEngine (DESIGN.md §16):
+  // the lane engine's whole fast path is an internal-state convergence
+  // proof against the reference replay, and beam's array strikes diverge in
+  // aux state (array cells, ECC words) that the latch diff carrier cannot
+  // represent.
+  inject::CampaignConfig wcfg;
+  wcfg.num_injections = 1;  // unused: beam samples its own strikes below
+  wcfg.run = cfg.run;
+  wcfg.run.early_exit = false;
+  wcfg.core = cfg.core;
+  wcfg.ckpt_interval = cfg.ckpt_interval;
+  wcfg.ckpt_memory_budget = cfg.ckpt_memory_budget;
+  // Reference runs and the shared interval-checkpoint store, planned like a
+  // campaign's: beam runs replay to the strike cycle exactly like campaign
+  // injections, so Table 2 calibration gets the same warm-start speedup.
+  const inject::CampaignPlan plan = inject::plan_campaign(tc, wcfg);
+  const Cycle completion = plan.trace.completion_cycle;
 
-  const u64 latch_bits = ref_model.registry().num_latches();
-  const u64 array_bits = ref_model.arrays().total_storage_bits();
+  core::Pearl6Model shape(cfg.core);
+  const u64 latch_bits = shape.registry().num_latches();
+  const u64 array_bits = shape.arrays().total_storage_bits();
   const double latch_weight =
       static_cast<double>(latch_bits) * cfg.latch_cross_section;
   const double array_weight =
@@ -53,7 +64,7 @@ BeamResult run_beam_experiment(const avp::Testcase& tc,
   for (u32 i = 0; i < cfg.num_events; ++i) {
     stats::Xoshiro256 rng(stats::derive_seed(cfg.seed, i));
     FaultSpec f;
-    f.cycle = 1 + rng.below(trace.completion_cycle - 1);
+    f.cycle = 1 + rng.below(completion - 1);
     const double pick = rng.uniform() * (latch_weight + array_weight);
     if (pick < latch_weight) {
       f.target = FaultTarget::Latch;
@@ -67,103 +78,28 @@ BeamResult run_beam_experiment(const avp::Testcase& tc,
     strikes[i] = f;
   }
 
-  const u32 threads =
-      cfg.threads != 0
-          ? cfg.threads
-          : std::max(1u, std::thread::hardware_concurrency());
-
-  // Shared interval-checkpoint store: beam runs replay to the strike cycle
-  // exactly like campaign injections, so Table 2 calibration gets the same
-  // warm-start speedup. One extra fault-free replay builds it.
-  emu::CheckpointStore ckpts;
-  if (cfg.ckpt_interval != 0 && trace.completion_cycle > 1) {
-    emu::CheckpointStoreConfig cc;
-    cc.interval =
-        cfg.ckpt_interval == emu::kCkptAuto ? 0 : cfg.ckpt_interval;
-    cc.memory_budget_bytes = cfg.ckpt_memory_budget;
-    ckpts = emu::build_checkpoint_store(ref_emu, trace.completion_cycle - 1,
-                                        cc, &trace);
-  }
-
   // Dispatch strikes cycle-sorted so consecutive runs share a hot
   // checkpoint; records land at their original index.
-  std::vector<u32> order(cfg.num_events);
-  for (u32 i = 0; i < cfg.num_events; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](u32 a, u32 b) {
-    return strikes[a].cycle != strikes[b].cycle
-               ? strikes[a].cycle < strikes[b].cycle
-               : a < b;
-  });
+  const std::vector<u32> order = inject::cycle_sorted(strikes);
 
   std::vector<InjectionRecord> records(cfg.num_events);
   std::atomic<u32> next{0};
 
-  // Beam observability: the experimenter cannot watch internal state, so
-  // the golden-hash early exit is off — classification uses only RAS
-  // reporting and the end-of-test compare, like the real irradiation runs.
-  // This is also why beam is pinned to the scalar InjectionRunner rather
-  // than dispatching through sfi::InjectionEngine (DESIGN.md §16): the lane
-  // engine's whole fast path is an internal-state convergence proof against
-  // the reference replay, and beam's array strikes diverge in aux state
-  // (array cells, ECC words) that the latch diff carrier cannot represent.
-  inject::RunConfig run_cfg = cfg.run;
-  run_cfg.early_exit = false;
-
+  const u32 threads = inject::worker_threads(cfg.threads);
   if (tel != nullptr) tel->prepare_workers(threads);
 
-  const auto work = [&](core::Pearl6Model& model, emu::Emulator& emu,
-                        u32 tid) {
+  inject::WorkerPool pool;
+  pool.run(threads, [&](u32 tid) {
     inject::WorkerTelemetry* wt =
         tel != nullptr ? &tel->worker(tid) : nullptr;
-    emu.reset();
-    const emu::Checkpoint reset_cp = emu.save_checkpoint();
-    InjectionRunner runner(model, emu, reset_cp, trace, golden, run_cfg,
-                           ckpts.empty() ? nullptr : &ckpts);
-    while (true) {
+    inject::CampaignWorker worker(tc, wcfg, plan);
+    while (!pool.failed()) {
       const u32 k = next.fetch_add(1, std::memory_order_relaxed);
       if (k >= cfg.num_events) break;
       const u32 i = order[k];
-      const RunResult rr = runner.run(
-          strikes[i], wt != nullptr ? wt->phase_scratch() : nullptr);
-      InjectionRecord rec;
-      rec.fault = strikes[i];
-      rec.outcome = rr.outcome;
-      if (strikes[i].target == FaultTarget::Latch) {
-        const auto& meta = model.registry().meta_of_ordinal(strikes[i].index);
-        rec.unit = meta.unit;
-        rec.type = meta.type;
-      } else {
-        rec.unit = model.arrays().locate(strikes[i].array_bit).array->unit();
-      }
-      rec.end_cycle = rr.end_cycle;
-      rec.recoveries = rr.recoveries;
-      if (wt != nullptr) {
-        std::optional<Cycle> latency;
-        if (rr.detected_cycle) latency = *rr.detected_cycle - strikes[i].cycle;
-        wt->record_injection(i, rec, latency);
-      }
-      records[i] = rec;
+      records[i] = worker.run(strikes[i], wt, i);
     }
-  };
-
-  if (threads <= 1) {
-    core::Pearl6Model model(cfg.core);
-    model.load_workload(tc.program, tc.init);
-    emu::Emulator emu(model);
-    work(model, emu, 0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        core::Pearl6Model model(cfg.core);
-        model.load_workload(tc.program, tc.init);
-        emu::Emulator emu(model);
-        work(model, emu, t);
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
+  });
 
   BeamResult result;
   result.records = std::move(records);

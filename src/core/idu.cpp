@@ -248,7 +248,9 @@ Idu::IssuePlan Idu::plan_issue(const netlist::CycleFrame& f, Signals& sig,
   const auto cr_value = [&](bool& ok) -> u32 {
     if (sb_cr_.get(f)) {
       if (wb.valid && wb.dest_kind == DestKind::Cr) {
-        return isa::cr_insert(static_cast<u32>(cr_.get(f)), wb.dest,
+        // Same field selection as the completion write (dest & 7), so a
+        // corrupted destination forwards what the CR will hold.
+        return isa::cr_insert(static_cast<u32>(cr_.get(f)), wb.dest & 7,
                               static_cast<u32>(wb.value));
       }
       ok = false;

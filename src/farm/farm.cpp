@@ -201,39 +201,13 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   std::vector<std::string> merge_inputs;
 
   // --- resume: inherit the committed prefix of a prior output store ---
-  if (resume && std::filesystem::exists(out_path)) {
-    const store::StoreContents prior =
-        store::read_store(out_path, {.tolerate_torn_tail = true});
-    if (!prior.meta.same_campaign(meta)) {
-      throw store::StoreError(
-          "refusing to resume " + out_path +
-          ": it records a different campaign (seed/config/workload "
-          "fingerprint mismatch) — rerun without --resume to overwrite");
-    }
-    for (const store::StoredRecord& sr : prior.records) {
-      if (sr.index >= cfg.num_injections) {
-        throw store::StoreError("record index out of range in " + out_path);
-      }
-      if (!done[sr.index]) {
-        done[sr.index] = true;
-        ++done_count;
-        ++result.resumed;
-        if (farm.on_record) farm.on_record(sr);
-      }
-    }
+  if (resume && sched::resume_scan(out_path, meta, done, tel,
+                                   [&](const store::StoredRecord& sr) {
+                                     ++done_count;
+                                     ++result.resumed;
+                                     if (farm.on_record) farm.on_record(sr);
+                                   })) {
     merge_inputs.push_back(out_path);
-    if (tel != nullptr) {
-      if (auto* log = tel->events()) {
-        telemetry::JsonWriter w;
-        w.begin_object()
-            .field("ev", "resume")
-            .field("t_us", tel->now_us())
-            .field("resumed", result.resumed)
-            .field("store", out_path)
-            .end_object();
-        log->emit(w.str());
-      }
-    }
   }
 
   // --- shard the remaining index space, cycle-sorted (checkpoint-hot) ---
@@ -242,7 +216,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     const u32 shard_size = std::max(1u, farm.shard_size);
     WorkShard cur;
     u64 next_id = 0;
-    for (const u32 i : plan.cycle_sorted_indices()) {
+    for (const u32 i : inject::cycle_sorted(plan.faults)) {
       if (done[i]) continue;
       cur.indices.push_back(i);
       if (cur.indices.size() >= shard_size) {

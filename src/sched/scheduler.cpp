@@ -1,13 +1,10 @@
 #include "sched/scheduler.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
-#include <thread>
 
 #include "common/hash.hpp"
-#include "sfi/engine.hpp"
 #include "store/writer.hpp"
 #include "telemetry/json.hpp"
 
@@ -70,6 +67,48 @@ store::CampaignMeta make_campaign_meta(const avp::Testcase& tc,
   return meta;
 }
 
+bool resume_scan(
+    const std::string& path, const store::CampaignMeta& meta,
+    std::vector<bool>& done, inject::CampaignTelemetry* tel,
+    const std::function<void(const store::StoredRecord&)>& inherit) {
+  const bool exists = std::filesystem::exists(path);
+  u64 resumed = 0;
+  if (exists) {
+    const store::StoreContents prior =
+        store::read_store(path, {.tolerate_torn_tail = true});
+    if (!prior.meta.same_campaign(meta)) {
+      throw store::StoreError(
+          "refusing to resume " + path +
+          ": it records a different campaign (seed/config/workload "
+          "fingerprint mismatch) — rerun without --resume to overwrite");
+    }
+    if (prior.torn_tail) std::filesystem::resize_file(path, prior.valid_bytes);
+    for (const store::StoredRecord& sr : prior.records) {
+      if (sr.index >= done.size()) {
+        throw store::StoreError("record index out of range in " + path);
+      }
+      if (!done[sr.index]) {
+        done[sr.index] = true;
+        ++resumed;
+        inherit(sr);
+      }
+    }
+  }
+  if (tel != nullptr) {
+    if (auto* log = tel->events()) {
+      telemetry::JsonWriter w;
+      w.begin_object()
+          .field("ev", "resume")
+          .field("t_us", tel->now_us())
+          .field("resumed", resumed)
+          .field("store", path)
+          .end_object();
+      log->emit(w.str());
+    }
+  }
+  return exists;
+}
+
 ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
                                       const inject::CampaignConfig& cfg,
                                       const std::string& store_path,
@@ -103,46 +142,12 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
   result.meta = meta;
 
   std::vector<bool> done(cfg.num_injections, false);
-
-  // --- resume: inherit every intact record of a compatible prior run ---
-  bool fresh_store = true;
-  if (resume && std::filesystem::exists(store_path)) {
-    const store::StoreContents prior =
-        store::read_store(store_path, {.tolerate_torn_tail = true});
-    if (!prior.meta.same_campaign(meta)) {
-      throw store::StoreError(
-          "refusing to resume " + store_path +
-          ": it records a different campaign (seed/config/workload "
-          "fingerprint mismatch) — rerun without --resume to overwrite");
-    }
-    if (prior.torn_tail) {
-      // Drop the torn final frame; its injection will simply be re-run.
-      std::filesystem::resize_file(store_path, prior.valid_bytes);
-    }
-    for (const store::StoredRecord& sr : prior.records) {
-      if (sr.index >= cfg.num_injections) {
-        throw store::StoreError("record index out of range in " + store_path);
-      }
-      if (!done[sr.index]) {
-        done[sr.index] = true;
-        result.agg.add(sr.rec);
-        ++result.resumed;
-      }
-    }
-    fresh_store = false;
-  }
-  if (tel != nullptr && resume) {
-    if (auto* log = tel->events()) {
-      telemetry::JsonWriter w;
-      w.begin_object()
-          .field("ev", "resume")
-          .field("t_us", tel->now_us())
-          .field("resumed", result.resumed)
-          .field("store", store_path)
-          .end_object();
-      log->emit(w.str());
-    }
-  }
+  const bool fresh_store =
+      !resume || !resume_scan(store_path, meta, done, tel,
+                              [&](const store::StoredRecord& sr) {
+                                result.agg.add(sr.rec);
+                                ++result.resumed;
+                              });
 
   // Commit markers seal each flush window so a crash can be rolled back to
   // a whole-window boundary (no orphaned 'R' whose 'P' was lost).
@@ -151,47 +156,29 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
       fresh_store ? store::StoreWriter::create(store_path, meta, wopts)
                   : store::StoreWriter::append_to(store_path, wopts);
 
-  // --- shard the remaining index space, cycle-sorted ---
+  // --- dispatch the remaining index space, cycle-sorted ---
   // Workers warm-start from the plan's checkpoint store; handing out
   // injections in fault-cycle order keeps each worker's materialized
   // checkpoint hot across a shard. Records carry their index, so store
   // ordering, resume and canonical merge are unaffected.
   std::vector<u32> pending;
   pending.reserve(cfg.num_injections - result.resumed);
-  for (const u32 i : plan.cycle_sorted_indices()) {
+  for (const u32 i : inject::cycle_sorted(plan.faults)) {
     if (!done[i]) pending.push_back(i);
   }
-
-  // The lane engine batches up to cfg.lanes in-flight injections per claim
-  // stream; shards below that would cap its batch size, so they grow to
-  // match. Shard boundaries are progress/telemetry granularity only —
-  // records are identical at any shard size.
-  const u32 shard_size =
-      std::max(std::max(1u, sched.shard_size),
-               cfg.engine == inject::EngineKind::Lanes ? cfg.lanes : 1u);
-  const u64 num_shards =
-      (pending.size() + shard_size - 1) / shard_size;
-  const u64 cap = sched.max_new_injections == 0
-                      ? pending.size()
-                      : std::min<u64>(sched.max_new_injections,
-                                      pending.size());
 
   if (sched.on_progress) {
     sched.on_progress({result.resumed, cfg.num_injections, result.resumed, 0,
                        wall_now(), steady_us_now()});
   }
 
-  std::atomic<u64> next_shard{0};
-  std::atomic<u64> claimed{0};
-  std::atomic<bool> stop_observed{false};
-  std::atomic<u64> cycles_evaluated{0};
-  std::atomic<u64> cycles_fast_forwarded{0};
-  std::atomic<u64> checkpoint_ops{0};
   std::mutex store_mu;
   u64 persisted = result.resumed;  // guarded by store_mu
   u64 executed_live = 0;           // guarded by store_mu
 
-  const auto work = [&](inject::InjectionEngine& eng, u32 tid) {
+  // Store sink: each worker batches records and their footprints, appending
+  // them to the store in flush windows.
+  const auto store_sink = [&](u32 tid, const auto& run) {
     inject::WorkerTelemetry* wt =
         tel != nullptr ? &tel->worker(tid) : nullptr;
     std::vector<store::StoredRecord> buf;
@@ -228,98 +215,28 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
       fp_buf.clear();
     };
 
-    bool capped = false;
-    while (!capped) {
-      const u64 shard = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (shard >= num_shards) break;
-      const std::size_t begin = shard * shard_size;
-      const std::size_t end =
-          std::min<std::size_t>(begin + shard_size, pending.size());
-      if (wt != nullptr) wt->shard_begin(shard, end - begin);
-      u64 shard_executed = 0;
-      // The engine pulls claims one at a time; stop/cap checks live in the
-      // claim callback so an engine holding lanes in flight still stops
-      // claiming the moment either fires (everything already claimed is
-      // finished and emitted — the engine contract).
-      std::size_t p = begin;
-      eng.run(
-          [&]() -> std::optional<u32> {
-            if (p >= end) return std::nullopt;
-            // Cooperative interruption (SIGINT/SIGTERM): stop claiming
-            // work, fall through to the final flush so every finished
-            // record lands.
-            if (sched.should_stop && sched.should_stop()) {
-              stop_observed.store(true, std::memory_order_relaxed);
-              capped = true;
-              return std::nullopt;
-            }
-            // Claim one execution slot; the cap models an interrupted run.
-            if (claimed.fetch_add(1, std::memory_order_relaxed) >= cap) {
-              capped = true;
-              return std::nullopt;
-            }
-            return pending[p++];
-          },
-          [&](u32 index, const inject::InjectionRecord& rec,
-              std::optional<inject::PropagationRecord> fp) {
-            store::StoredRecord sr;
-            sr.index = index;
-            sr.rec = rec;
-            local.add(sr.rec);
-            buf.push_back(sr);
-            if (fp) fp_buf.push_back(std::move(*fp));
-            ++shard_executed;
-            if (buf.size() >= std::max(1u, sched.flush_records)) flush();
-          },
-          wt);
-      if (wt != nullptr) wt->shard_end(shard, shard_executed);
-    }
+    run([&](u32 index, const inject::InjectionRecord& rec,
+            std::optional<inject::PropagationRecord> fp) {
+      store::StoredRecord sr;
+      sr.index = index;
+      sr.rec = rec;
+      local.add(sr.rec);
+      buf.push_back(sr);
+      if (fp) fp_buf.push_back(std::move(*fp));
+      if (buf.size() >= std::max(1u, sched.flush_records)) flush();
+    });
     flush();
-    cycles_evaluated.fetch_add(eng.cycles_evaluated(),
-                               std::memory_order_relaxed);
-    cycles_fast_forwarded.fetch_add(eng.cycles_fast_forwarded(),
-                                    std::memory_order_relaxed);
-    checkpoint_ops.fetch_add(eng.checkpoint_ops(),
-                             std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(store_mu);
     result.agg.merge(local);
     result.executed += local.total();
     result.footprints += local_footprints;
   };
 
-  if (!pending.empty() && cap > 0) {
-    const u32 hw = std::max(1u, std::thread::hardware_concurrency());
-    const u32 want = sched.threads != 0
-                         ? sched.threads
-                         : (cfg.threads != 0 ? cfg.threads : hw);
-    const u32 threads = static_cast<u32>(std::min<u64>(want, num_shards));
-    if (tel != nullptr) tel->prepare_workers(threads);
-    if (threads <= 1) {
-      const auto eng = inject::make_engine(tc, cfg, plan);
-      work(*eng, 0);
-    } else {
-      std::vector<std::unique_ptr<inject::InjectionEngine>> engines;
-      engines.reserve(threads);
-      for (u32 t = 0; t < threads; ++t) {
-        engines.push_back(inject::make_engine(tc, cfg, plan));
-      }
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (u32 t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] { work(*engines[t], t); });
-      }
-      for (auto& th : pool) th.join();
-    }
-  }
-
-  result.shards = std::min<u64>(next_shard.load(), num_shards);
-  result.cycles_evaluated = cycles_evaluated.load();
-  result.cycles_fast_forwarded = cycles_fast_forwarded.load();
-  result.checkpoint_ops = checkpoint_ops.load();
+  static_cast<inject::DispatchStats&>(result) =
+      inject::dispatch_campaign(tc, cfg, plan, pending, sched, store_sink);
   result.checkpoints = plan.ckpts.size();
   result.checkpoint_bytes = plan.ckpts.resident_bytes();
   result.complete = result.agg.total() == cfg.num_injections;
-  result.stopped = stop_observed.load();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -1,31 +1,30 @@
 // Campaign scheduler: sharded, streaming, resumable execution of a fault
 // injection campaign into a durable store (src/store/).
 //
-// The in-memory path (inject::run_campaign) holds every record until the
-// end and loses everything on interruption; production campaigns of 10^5+
-// injections cannot afford that. The scheduler instead:
+// Injections run on the one in-process dispatcher, inject::dispatch_campaign
+// (the same one inject::run_campaign drives with an in-memory sink). The
+// scheduler claims work from it in shards and is its store sink:
 //
-//   * splits the campaign's index space into shards,
-//   * runs shards on a worker pool where each worker owns a private
-//     simulation environment (paper §2.2),
-//   * streams completed records into the store as they finish — appends
+//   * completed records stream into the store as they finish — appends
 //     are order-insensitive because records carry their index — with a
 //     bounded, flush-throttled at-risk window,
-//   * reports progress through a callback,
-//   * and resumes exactly: injection i derives its RNG stream from
+//   * progress is reported through a callback,
+//   * and resume is exact: injection i derives its RNG stream from
 //     (seed, i), so a restarted campaign validates the store's campaign
 //     fingerprint, truncates any torn tail, skips persisted indices and
 //     re-derives only the missing faults. The canonical merge of an
 //     interrupted-then-resumed store is byte-identical to that of an
-//     uninterrupted run (tests/test_store.cpp proves this).
+//     uninterrupted run (tests/test_store.cpp proves this). A worker
+//     exception reaches the caller with the store readable and resumable.
 #pragma once
 
 #include <cmath>
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
-#include "sfi/campaign.hpp"
+#include "sfi/engine.hpp"
 #include "store/reader.hpp"
 
 namespace sfi::sched {
@@ -64,40 +63,27 @@ struct Progress {
   }
 };
 
-struct SchedulerConfig {
-  u32 threads = 0;        ///< 0: campaign config threads, else hardware
-  u32 shard_size = 64;    ///< injections per shard (work-stealing unit)
+/// Dispatch knobs (threads, shard_size, max_new_injections, should_stop;
+/// sfi/engine.hpp) plus the store sink's own.
+struct SchedulerConfig : inject::DispatchConfig {
   u32 flush_records = 32; ///< records a worker batches between store appends
-  /// Stop after this many newly executed injections (0 = run to completion).
-  /// This is the test hook that simulates an interrupted campaign without
-  /// killing the process.
-  u64 max_new_injections = 0;
-  /// Cooperative stop: polled before each injection is claimed. When it
-  /// returns true workers stop claiming, flush their at-risk buffers, and
-  /// the store is closed cleanly (no torn tail) — this is how `sfi campaign`
-  /// turns SIGINT/SIGTERM into an ordinary resumable interruption instead
-  /// of leaning on torn-tail truncation.
-  std::function<bool()> should_stop;
-  /// Called under the store lock after every flushed batch.
+  /// Called under the store lock after every flushed batch, on the worker
+  /// thread that flushed it. An exception thrown here fails the campaign
+  /// like any worker exception (run_campaign_to_store rethrows it).
   std::function<void(const Progress&)> on_progress;
 };
 
-struct ScheduledResult {
+/// Dispatch outcome (shards, stopped, host-cost counters; sfi/engine.hpp)
+/// plus the store's view of the campaign.
+struct ScheduledResult : inject::DispatchStats {
   store::CampaignMeta meta;
   /// Aggregation over every record now in the store (resumed + new).
   inject::CampaignAggregate agg;
   u64 executed = 0;   ///< injections run by this invocation
   u64 resumed = 0;    ///< injections skipped because already persisted
   u64 footprints = 0; ///< propagation footprints persisted this invocation
-  u64 shards = 0;     ///< shards dispatched this invocation
   bool complete = false;  ///< store now covers all num_injections indices
-  bool stopped = false;   ///< should_stop() interrupted dispatch
   double wall_seconds = 0.0;
-  u64 cycles_evaluated = 0;
-  /// Replay cycles skipped by warm-starting from reference checkpoints.
-  u64 cycles_fast_forwarded = 0;
-  /// Host checkpoint interactions (saves + restores) across all workers.
-  u64 checkpoint_ops = 0;
   /// Resident reference checkpoints and their encoded footprint.
   std::size_t checkpoints = 0;
   u64 checkpoint_bytes = 0;
@@ -121,6 +107,16 @@ struct ScheduledResult {
 [[nodiscard]] store::CampaignMeta make_campaign_meta(
     const avp::Testcase& testcase, const inject::CampaignConfig& config,
     const inject::CampaignPlan& plan);
+
+/// Resume scan of a prior output store, shared with the farm. A missing
+/// file inherits nothing; otherwise the store must record `meta`'s
+/// campaign, a torn final frame is cut off (its injection is simply re-run)
+/// and each record index not yet in `done` is marked and passed to
+/// `inherit`. Logs the "resume" event either way; true if the file exists.
+bool resume_scan(
+    const std::string& path, const store::CampaignMeta& meta,
+    std::vector<bool>& done, inject::CampaignTelemetry* telemetry,
+    const std::function<void(const store::StoredRecord&)>& inherit);
 
 /// Run (or resume) a campaign, streaming records into the store at
 /// `store_path`. With `resume` true and an existing store: validate it,

@@ -80,7 +80,7 @@ CampaignPlan plan_campaign(const avp::Testcase& tc,
   return plan;
 }
 
-std::vector<u32> CampaignPlan::cycle_sorted_indices() const {
+std::vector<u32> cycle_sorted(const std::vector<FaultSpec>& faults) {
   std::vector<u32> order(faults.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](u32 a, u32 b) {
@@ -109,30 +109,29 @@ CampaignWorker::CampaignWorker(const avp::Testcase& tc,
 }
 
 CampaignWorker::~CampaignWorker() = default;
-CampaignWorker::CampaignWorker(CampaignWorker&&) noexcept = default;
-CampaignWorker& CampaignWorker::operator=(CampaignWorker&&) noexcept =
-    default;
-
-InjectionRecord CampaignWorker::run(const FaultSpec& fault) {
-  return run(fault, nullptr, 0, nullptr);
-}
-
-InjectionRecord CampaignWorker::run(const FaultSpec& fault,
-                                    WorkerTelemetry* telemetry, u32 index) {
-  return run(fault, telemetry, index, nullptr);
-}
 
 InjectionRecord make_record(const netlist::LatchRegistry& reg,
                             const FaultSpec& fault, const RunResult& rr) {
-  const netlist::LatchMeta& meta = reg.meta_of_ordinal(fault.index);
   InjectionRecord rec;
   rec.fault = fault;
   rec.outcome = rr.outcome;
-  rec.unit = meta.unit;
-  rec.type = meta.type;
+  if (fault.target == FaultTarget::Latch) {
+    const netlist::LatchMeta& meta = reg.meta_of_ordinal(fault.index);
+    rec.unit = meta.unit;
+    rec.type = meta.type;
+  }
   rec.end_cycle = rr.end_cycle;
   rec.early_exited = rr.early_exited;
   rec.recoveries = rr.recoveries;
+  return rec;
+}
+
+InjectionRecord make_record(core::Pearl6Model& model, const FaultSpec& fault,
+                            const RunResult& rr) {
+  InjectionRecord rec = make_record(model.registry(), fault, rr);
+  if (fault.target == FaultTarget::ArrayCell) {
+    rec.unit = model.arrays().locate(fault.array_bit).array->unit();
+  }
   return rec;
 }
 
@@ -146,7 +145,7 @@ InjectionRecord CampaignWorker::run(
   const RunResult rr = runner_->run(
       fault, telemetry != nullptr ? telemetry->phase_scratch() : nullptr,
       prefault);
-  InjectionRecord rec = make_record(model_->registry(), fault, rr);
+  InjectionRecord rec = make_record(*model_, fault, rr);
   if (telemetry != nullptr) {
     std::optional<Cycle> latency;
     if (rr.detected_cycle) latency = *rr.detected_cycle - fault.cycle;
@@ -178,6 +177,135 @@ u64 CampaignWorker::checkpoint_ops() const {
   return emu_->hostlink().checkpoint_ops;
 }
 
+u32 worker_threads(u32 requested) {
+  return requested != 0 ? requested
+                        : std::max(1u, std::thread::hardware_concurrency());
+}
+
+void WorkerPool::run(u32 threads, const std::function<void(u32)>& body) {
+  const auto fail = [this] {  // called from a catch block
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!first_) first_ = std::current_exception();
+    failed_.store(true, std::memory_order_relaxed);
+  };
+  const auto guarded = [&](u32 tid) {
+    try {
+      body(tid);
+    } catch (...) {
+      fail();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  // A thread that cannot start fails the run like a throwing worker: the
+  // ones already running stop at their next claim and are still joined.
+  try {
+    for (u32 t = 0; t < threads; ++t) pool.emplace_back(guarded, t);
+  } catch (...) {
+    fail();
+  }
+  for (auto& th : pool) th.join();
+  if (first_) std::rethrow_exception(first_);
+}
+
+DispatchStats dispatch_campaign(const avp::Testcase& tc,
+                                const CampaignConfig& cfg,
+                                const CampaignPlan& plan,
+                                const std::vector<u32>& pending,
+                                const DispatchConfig& dc,
+                                const WorkerSink& sink, Claims claims) {
+  // A stream claims single indices. Shards: the lane engine batches up to
+  // cfg.lanes in-flight injections per claim stream; shards below that
+  // would cap its batch size, so they grow to match. Shard boundaries are
+  // progress/telemetry granularity only — records are identical at any
+  // shard size.
+  const bool stream = claims == Claims::Stream;
+  const u32 shard_size =
+      stream ? 1u
+             : std::max(std::max(1u, dc.shard_size),
+                        cfg.engine == EngineKind::Lanes ? cfg.lanes : 1u);
+  const u64 num_shards = (pending.size() + shard_size - 1) / shard_size;
+  const u64 cap = dc.max_new_injections == 0
+                      ? pending.size()
+                      : std::min<u64>(dc.max_new_injections, pending.size());
+  DispatchStats stats;
+  if (cap == 0) return stats;
+
+  const u32 threads = static_cast<u32>(std::min<u64>(
+      worker_threads(dc.threads != 0 ? dc.threads : cfg.threads),
+      num_shards));
+  CampaignTelemetry* tel = cfg.telemetry;
+  if (tel != nullptr) tel->prepare_workers(threads);
+
+  std::atomic<u64> next_shard{0};
+  std::atomic<u64> claimed{0};
+  std::atomic<bool> stop_observed{false};
+  std::mutex stats_mu;
+  std::vector<std::unique_ptr<InjectionEngine>> engines(threads);
+  for (auto& e : engines) e = make_engine(tc, cfg, plan);
+  WorkerPool pool;
+
+  pool.run(threads, [&](u32 tid) {
+    InjectionEngine* eng = engines[tid].get();
+    WorkerTelemetry* wt = tel != nullptr ? &tel->worker(tid) : nullptr;
+    WorkerTelemetry* shard_wt = stream ? nullptr : wt;
+    sink(tid, [&](const InjectionEngine::Emit& emit) {
+      u64 shard = 0;
+      std::size_t p = 0;
+      std::size_t end = 0;
+      // Claims the next shard into [p, end); false once none is left.
+      const auto claim_shard = [&] {
+        shard = next_shard.fetch_add(1, std::memory_order_relaxed);
+        if (shard >= num_shards) return false;
+        p = shard * shard_size;
+        end = std::min<std::size_t>(p + shard_size, pending.size());
+        return true;
+      };
+      bool capped = false;
+      while (!capped && claim_shard()) {
+        if (shard_wt != nullptr) shard_wt->shard_begin(shard, end - p);
+        u64 shard_executed = 0;
+        // The engine pulls claims one at a time; stop/cap checks live in
+        // the claim callback so an engine holding lanes in flight still
+        // stops claiming the moment either fires (everything already
+        // claimed is finished and emitted — the engine contract).
+        eng->run(
+            [&]() -> std::optional<u32> {
+              // A shard ends the engine run; a stream rolls straight on.
+              if (p >= end && !(stream && claim_shard())) return std::nullopt;
+              // A failed sibling or a cooperative interruption
+              // (SIGINT/SIGTERM): stop claiming; the sink still flushes
+              // every finished record. Otherwise claim one execution slot;
+              // the cap models an interrupted run.
+              const bool stop = dc.should_stop && dc.should_stop();
+              if (stop) stop_observed.store(true, std::memory_order_relaxed);
+              if (stop || pool.failed() ||
+                  claimed.fetch_add(1, std::memory_order_relaxed) >= cap) {
+                capped = true;
+                return std::nullopt;
+              }
+              return pending[p++];
+            },
+            [&](u32 index, const InjectionRecord& rec,
+                std::optional<PropagationRecord> fp) {
+              ++shard_executed;
+              emit(index, rec, std::move(fp));
+            },
+            wt);
+        if (shard_wt != nullptr) shard_wt->shard_end(shard, shard_executed);
+      }
+    });
+    const std::lock_guard<std::mutex> lock(stats_mu);
+    stats.cycles_evaluated += eng->cycles_evaluated();
+    stats.cycles_fast_forwarded += eng->cycles_fast_forwarded();
+    stats.checkpoint_ops += eng->checkpoint_ops();
+  });
+
+  stats.shards = std::min<u64>(next_shard.load(), num_shards);
+  stats.stopped = stop_observed.load();
+  return stats;
+}
+
 CampaignResult run_campaign(const avp::Testcase& tc,
                             const CampaignConfig& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -190,73 +318,25 @@ CampaignResult run_campaign(const avp::Testcase& tc,
 
   const CampaignPlan plan = plan_campaign(tc, cfg);
 
-  const u32 threads =
-      cfg.threads != 0
-          ? cfg.threads
-          : std::max(1u, std::thread::hardware_concurrency());
-
-  std::vector<InjectionRecord> records(cfg.num_injections);
-  // Dispatch cycle-sorted so consecutive runs on a worker share a hot
-  // checkpoint; records land at their original index, so results stay
+  // In-memory sink: workers claim single indices from one cycle-sorted
+  // stream, and records land at their original index, so results stay
   // identical to index-ordered dispatch.
-  const std::vector<u32> order = plan.cycle_sorted_indices();
-  std::atomic<u32> next{0};
-  std::atomic<u64> cycles_evaluated{0};
-  std::atomic<u64> cycles_fast_forwarded{0};
-  std::atomic<u64> checkpoint_ops{0};
-
-  if (tel != nullptr) tel->prepare_workers(threads);
-
-  std::vector<std::vector<PropagationRecord>> worker_footprints(
-      std::max(1u, threads));
-
-  const auto work = [&](InjectionEngine& eng, u32 tid) {
-    WorkerTelemetry* wt = tel != nullptr ? &tel->worker(tid) : nullptr;
-    std::vector<PropagationRecord>& fps = worker_footprints[tid];
-    eng.run(
-        [&]() -> std::optional<u32> {
-          const u32 k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= cfg.num_injections) return std::nullopt;
-          return order[k];
-        },
-        [&](u32 i, const InjectionRecord& rec,
-            std::optional<PropagationRecord> fp) {
-          records[i] = rec;
-          if (fp) fps.push_back(std::move(*fp));
-        },
-        wt);
-    cycles_evaluated.fetch_add(eng.cycles_evaluated(),
-                               std::memory_order_relaxed);
-    cycles_fast_forwarded.fetch_add(eng.cycles_fast_forwarded(),
-                                    std::memory_order_relaxed);
-    checkpoint_ops.fetch_add(eng.checkpoint_ops(),
-                             std::memory_order_relaxed);
-  };
-
-  if (threads <= 1) {
-    const auto eng = make_engine(tc, cfg, plan);
-    work(*eng, 0);
-  } else {
-    std::vector<std::unique_ptr<InjectionEngine>> engines;
-    engines.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-      engines.push_back(make_engine(tc, cfg, plan));
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] { work(*engines[t], t); });
-    }
-    for (auto& th : pool) th.join();
-  }
-
   CampaignResult result;
-  result.records = std::move(records);
-  for (auto& fps : worker_footprints) {
-    result.footprints.insert(result.footprints.end(),
-                             std::make_move_iterator(fps.begin()),
-                             std::make_move_iterator(fps.end()));
-  }
+  result.records.resize(cfg.num_injections);
+  std::mutex fp_mu;
+  const DispatchStats stats = dispatch_campaign(
+      tc, cfg, plan, cycle_sorted(plan.faults), {},
+      [&](u32, const auto& run) {
+        run([&](u32 i, const InjectionRecord& rec,
+                std::optional<PropagationRecord> fp) {
+          result.records[i] = rec;
+          if (!fp) return;
+          const std::lock_guard<std::mutex> lock(fp_mu);
+          result.footprints.push_back(std::move(*fp));
+        });
+      },
+      Claims::Stream);
+
   std::sort(result.footprints.begin(), result.footprints.end(),
             [](const PropagationRecord& a, const PropagationRecord& b) {
               return a.index < b.index;
@@ -264,9 +344,9 @@ CampaignResult run_campaign(const avp::Testcase& tc,
   result.population_size = plan.population.size();
   result.workload_cycles = plan.trace.completion_cycle;
   result.workload_instructions = plan.golden.instructions;
-  result.cycles_evaluated = cycles_evaluated.load();
-  result.cycles_fast_forwarded = cycles_fast_forwarded.load();
-  result.checkpoint_ops = checkpoint_ops.load();
+  result.cycles_evaluated = stats.cycles_evaluated;
+  result.cycles_fast_forwarded = stats.cycles_fast_forwarded;
+  result.checkpoint_ops = stats.checkpoint_ops;
   result.checkpoints = plan.ckpts.size();
   result.checkpoint_bytes = plan.ckpts.resident_bytes();
   result.agg = aggregate_records(result.records);

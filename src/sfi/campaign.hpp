@@ -9,10 +9,17 @@
 // paper §2.2), and aggregation is order-insensitive. The same property makes
 // campaigns resumable: any scheduler that knows which indices are already
 // done can re-derive exactly the remaining faults (src/sched/).
+//
+// One dispatcher (dispatch_campaign, sfi/engine.hpp) runs every in-process
+// campaign; run_campaign is that dispatcher with an in-memory record sink,
+// sched::run_campaign_to_store the same dispatcher with a store sink.
 #pragma once
 
+#include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -93,13 +100,14 @@ struct CampaignPlan {
   /// Interval checkpoints of the reference run (empty when disabled);
   /// built once here and shared read-only across all workers.
   emu::CheckpointStore ckpts;
-
-  /// Injection indices sorted by fault cycle (ties by index): dispatching
-  /// in this order keeps each worker's materialized checkpoint hot. Records
-  /// keep their (seed, i) identity, so ordering, resume and merge are
-  /// untouched.
-  [[nodiscard]] std::vector<u32> cycle_sorted_indices() const;
 };
+
+/// Indices of `faults` sorted by fault cycle (ties by index): dispatching
+/// in this order keeps each worker's materialized checkpoint hot. Records
+/// keep their (seed, i) identity, so ordering, resume and merge are
+/// untouched.
+[[nodiscard]] std::vector<u32> cycle_sorted(
+    const std::vector<FaultSpec>& faults);
 
 [[nodiscard]] CampaignPlan plan_campaign(const avp::Testcase& testcase,
                                          const CampaignConfig& config);
@@ -107,6 +115,11 @@ struct CampaignPlan {
 /// Build the durable injection record for (fault, result). Shared by every
 /// engine so records are field-identical by construction.
 [[nodiscard]] InjectionRecord make_record(const netlist::LatchRegistry& reg,
+                                          const FaultSpec& fault,
+                                          const RunResult& rr);
+/// Same for a fault of any target: array strikes (beam) take their unit
+/// from the struck array.
+[[nodiscard]] InjectionRecord make_record(core::Pearl6Model& model,
                                           const FaultSpec& fault,
                                           const RunResult& rr);
 
@@ -118,22 +131,16 @@ class CampaignWorker {
   CampaignWorker(const avp::Testcase& testcase, const CampaignConfig& config,
                  const CampaignPlan& plan);
   ~CampaignWorker();
-  CampaignWorker(CampaignWorker&&) noexcept;
-  CampaignWorker& operator=(CampaignWorker&&) noexcept;
 
-  /// Run one injection end to end and build its record.
-  [[nodiscard]] InjectionRecord run(const FaultSpec& fault);
-  /// Same, additionally reporting the injection (phase timings, outcome,
-  /// detection latency) to a worker telemetry handle. `index` is the
-  /// injection's campaign index (event/sampling identity).
-  [[nodiscard]] InjectionRecord run(const FaultSpec& fault,
-                                    WorkerTelemetry* telemetry, u32 index);
-  /// Same, additionally running the deferred footprint re-run when the
-  /// campaign's FootprintConfig selects this injection; the propagation
-  /// record (if any) is returned through `footprint`.
-  [[nodiscard]] InjectionRecord run(const FaultSpec& fault,
-                                    WorkerTelemetry* telemetry, u32 index,
-                                    std::optional<PropagationRecord>* footprint);
+  /// Run one injection end to end and build its record, optionally
+  /// reporting it (phase timings, outcome, detection latency) to a worker
+  /// telemetry handle; `index` is the injection's campaign index
+  /// (event/sampling identity). When the campaign's FootprintConfig selects
+  /// the injection, the deferred footprint re-run's propagation record is
+  /// returned through `footprint`.
+  [[nodiscard]] InjectionRecord run(
+      const FaultSpec& fault, WorkerTelemetry* telemetry = nullptr,
+      u32 index = 0, std::optional<PropagationRecord>* footprint = nullptr);
 
   [[nodiscard]] u64 cycles_evaluated() const;
   [[nodiscard]] u64 cycles_fast_forwarded() const;
@@ -145,6 +152,29 @@ class CampaignWorker {
   emu::Checkpoint reset_cp_;
   std::unique_ptr<InjectionRunner> runner_;
   std::unique_ptr<InfectionTracker> tracker_;
+};
+
+/// Worker threads for a request: `requested`, or the hardware concurrency
+/// when it is 0.
+[[nodiscard]] u32 worker_threads(u32 requested);
+
+/// The one thread pool behind in-process campaigns (dispatch_campaign) and
+/// the beam experiment. run() calls body(tid) on its own thread for every
+/// tid below `threads` and joins them. A body that throws raises
+/// failed(), which claim loops poll like a stop request so the other
+/// workers finish what they claimed and wind down; after the join the first
+/// exception is rethrown on the caller.
+class WorkerPool {
+ public:
+  void run(u32 threads, const std::function<void(u32 tid)>& body);
+  [[nodiscard]] bool failed() const {
+    return failed_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<bool> failed_{false};
+  std::mutex mu_;
+  std::exception_ptr first_;
 };
 
 struct CampaignResult {

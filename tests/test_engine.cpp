@@ -209,6 +209,50 @@ TEST(EngineAB, ResumeAcrossEnginesByteIdentical) {
   EXPECT_EQ(slurp(canon.path()), reference);
 }
 
+// Fault 2290 of campaign seed 0 on testcase seed 0 (219 instructions)
+// toggles the top bit of the FXU's 5-bit destination while a CR-field result
+// is on its way to writeback. The IDU's CR bypass must select the same field
+// as the completion write (dest & 7); it used to hand the raw value to
+// cr_insert, which rejects fields >= 8 and aborted the campaign.
+TEST(EngineAB, CorruptedCrDestinationForwardsLikeWriteback) {
+  avp::TestcaseConfig tcfg;
+  tcfg.seed = 0;
+  tcfg.num_instructions = 219;
+  const avp::Testcase tc = avp::generate_testcase(tcfg);
+  constexpr u32 kIndex = 2290;
+  CampaignConfig cfg = small_campaign(kIndex + 1, EngineKind::Scalar);
+  cfg.seed = 0;
+  const CampaignPlan plan = plan_campaign(tc, cfg);
+
+  const FaultSpec& fault = plan.faults[kIndex];
+  const core::Pearl6Model model(cfg.core);
+  const netlist::LatchMeta& meta =
+      model.registry().meta_of_ordinal(fault.index);
+  ASSERT_EQ(meta.name, "fxu.ex.dest");
+  ASSERT_EQ(fault.index - meta.ordinal_start, 4u);
+
+  std::vector<InjectionRecord> got;
+  for (const EngineKind kind : {EngineKind::Scalar, EngineKind::Lanes}) {
+    cfg.engine = kind;
+    bool claimed = false;
+    make_engine(tc, cfg, plan)->run(
+        [&]() -> std::optional<u32> {
+          if (claimed) return std::nullopt;
+          claimed = true;
+          return kIndex;
+        },
+        [&](u32 i, const InjectionRecord& rec,
+            std::optional<PropagationRecord>) {
+          EXPECT_EQ(i, kIndex);
+          got.push_back(rec);
+        },
+        nullptr);
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_NE(got[0].outcome, Outcome::HarnessFatal);
+  expect_records_equal({got[0]}, {got[1]});
+}
+
 TEST(EngineAB, NamesRoundTrip) {
   EXPECT_STREQ(engine_name(EngineKind::Scalar), "scalar");
   EXPECT_STREQ(engine_name(EngineKind::Lanes), "lanes");

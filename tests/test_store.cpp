@@ -5,15 +5,18 @@
 // one with the same seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "avp/testgen.hpp"
 #include "sched/scheduler.hpp"
 #include "sfi/campaign.hpp"
+#include "store/codec.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
@@ -542,27 +545,149 @@ void expect_same_aggregate(const inject::CampaignAggregate& a,
   }
 }
 
-TEST(Scheduler, MatchesInMemoryCampaign) {
-  TempFile f("sched_match");
-  const avp::Testcase tc = small_testcase();
-  const inject::CampaignConfig cfg = small_campaign();
+void expect_same_record(const inject::InjectionRecord& a,
+                        const inject::InjectionRecord& b, u32 index) {
+  EXPECT_EQ(a.fault.target, b.fault.target) << "record " << index;
+  EXPECT_EQ(a.fault.index, b.fault.index) << "record " << index;
+  EXPECT_EQ(a.fault.array_bit, b.fault.array_bit) << "record " << index;
+  EXPECT_EQ(a.fault.cycle, b.fault.cycle) << "record " << index;
+  EXPECT_EQ(a.fault.mode, b.fault.mode) << "record " << index;
+  EXPECT_EQ(a.fault.sticky_duration, b.fault.sticky_duration)
+      << "record " << index;
+  EXPECT_EQ(a.fault.sticky_value, b.fault.sticky_value) << "record " << index;
+  EXPECT_EQ(a.fault.adjacent_bits, b.fault.adjacent_bits)
+      << "record " << index;
+  EXPECT_EQ(a.outcome, b.outcome) << "record " << index;
+  EXPECT_EQ(a.unit, b.unit) << "record " << index;
+  EXPECT_EQ(a.type, b.type) << "record " << index;
+  EXPECT_EQ(a.end_cycle, b.end_cycle) << "record " << index;
+  EXPECT_EQ(a.early_exited, b.early_exited) << "record " << index;
+  EXPECT_EQ(a.recoveries, b.recoveries) << "record " << index;
+}
 
-  const inject::CampaignResult mem = inject::run_campaign(tc, cfg);
+// run_campaign and run_campaign_to_store are one dispatcher with two sinks:
+// for every engine, thread count and shard split, the in-memory records and
+// footprints equal the store's field for field.
+TEST(Scheduler, MatchesInMemoryCampaign) {
+  struct Case {
+    const char* name;
+    inject::EngineKind engine;
+    u32 lanes;
+    u32 threads;
+    u32 shard_size;
+    bool footprint;
+  };
+  const Case cases[] = {
+      {"scalar", inject::EngineKind::Scalar, 64, 2, 16, false},
+      {"lanes", inject::EngineKind::Lanes, 8, 2, 16, false},
+      {"three_threads", inject::EngineKind::Scalar, 64, 3, 16, false},
+      {"ragged_shards", inject::EngineKind::Lanes, 5, 3, 7, false},
+      {"footprints", inject::EngineKind::Scalar, 64, 2, 16, true},
+  };
+  const avp::Testcase tc = small_testcase();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempFile f(std::string("sched_match_") + c.name);
+    inject::CampaignConfig cfg = small_campaign(61);
+    ASSERT_NE(cfg.num_injections % c.shard_size, 0u);
+    cfg.engine = c.engine;
+    cfg.lanes = c.lanes;
+    cfg.threads = c.threads;
+    cfg.footprint.enabled = c.footprint;
+
+    const inject::CampaignResult mem = inject::run_campaign(tc, cfg);
+    sched::SchedulerConfig sc;
+    sc.threads = c.threads;
+    sc.shard_size = c.shard_size;
+    const sched::ScheduledResult out =
+        sched::run_campaign_to_store(tc, cfg, f.path(), sc);
+
+    EXPECT_TRUE(out.complete);
+    EXPECT_EQ(out.executed, cfg.num_injections);
+    EXPECT_EQ(out.resumed, 0u);
+    expect_same_aggregate(out.agg, mem.agg);
+
+    // The aggregate is reconstructible purely from the file.
+    const auto [meta, file_agg] = aggregate_store(f.path());
+    EXPECT_TRUE(meta.same_campaign(out.meta));
+    expect_same_aggregate(file_agg, mem.agg);
+
+    const StoreContents stored = read_store(f.path());
+    ASSERT_EQ(stored.records.size(), mem.records.size());
+    std::vector<bool> seen(mem.records.size(), false);
+    for (const StoredRecord& sr : stored.records) {
+      ASSERT_LT(sr.index, mem.records.size());
+      EXPECT_FALSE(seen[sr.index]) << "record " << sr.index;
+      seen[sr.index] = true;
+      expect_same_record(sr.rec, mem.records[sr.index], sr.index);
+    }
+
+    std::vector<inject::PropagationRecord> fps;
+    (void)for_each_propagation(f.path(),
+                               [&](const inject::PropagationRecord& fp) {
+                                 fps.push_back(fp);
+                               });
+    std::sort(fps.begin(), fps.end(), [](const auto& a, const auto& b) {
+      return a.index < b.index;
+    });
+    EXPECT_EQ(fps.empty(), !c.footprint);
+    ASSERT_EQ(fps.size(), mem.footprints.size());
+    EXPECT_EQ(out.footprints, fps.size());
+    for (std::size_t k = 0; k < fps.size(); ++k) {
+      EXPECT_EQ(encode_propagation(fps[k]),
+                encode_propagation(mem.footprints[k]))
+          << "footprint " << fps[k].index;
+    }
+  }
+}
+
+// A worker exception (here from on_progress, which runs on worker threads)
+// stops the other workers at their next claim and reaches the caller; what
+// was flushed stays a clean, resumable store.
+TEST(Scheduler, WorkerExceptionReachesCallerAndStoreResumes) {
+  TempFile uninterrupted("throw_base"), failed("throw_cut");
+  const avp::Testcase tc = small_testcase();
+  const inject::CampaignConfig cfg = small_campaign(200);
+
   sched::SchedulerConfig sc;
   sc.threads = 2;
   sc.shard_size = 16;
-  const sched::ScheduledResult out =
-      sched::run_campaign_to_store(tc, cfg, f.path(), sc);
+  sc.flush_records = 4;
+  const auto full =
+      sched::run_campaign_to_store(tc, cfg, uninterrupted.path(), sc);
+  ASSERT_TRUE(full.complete);
 
-  EXPECT_TRUE(out.complete);
-  EXPECT_EQ(out.executed, cfg.num_injections);
-  EXPECT_EQ(out.resumed, 0u);
-  expect_same_aggregate(out.agg, mem.agg);
+  sched::SchedulerConfig throwing = sc;
+  u32 calls = 0;  // on_progress runs under the store lock
+  throwing.on_progress = [&](const sched::Progress&) {
+    if (++calls == 3) throw std::runtime_error("progress sink failed");
+  };
+  try {
+    (void)sched::run_campaign_to_store(tc, cfg, failed.path(), throwing);
+    FAIL() << "the worker exception did not reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "progress sink failed");
+  }
 
-  // The aggregate is reconstructible purely from the file.
-  const auto [meta, file_agg] = aggregate_store(f.path());
-  EXPECT_TRUE(meta.same_campaign(out.meta));
-  expect_same_aggregate(file_agg, mem.agg);
+  // Strict read: no torn tail, no duplicate, and the campaign is unfinished.
+  const StoreContents partial = read_store(failed.path());
+  EXPECT_FALSE(partial.torn_tail);
+  EXPECT_GT(partial.records.size(), 0u);
+  EXPECT_LT(partial.records.size(), cfg.num_injections);
+  std::vector<bool> seen(cfg.num_injections, false);
+  for (const StoredRecord& sr : partial.records) {
+    EXPECT_FALSE(seen[sr.index]) << "record " << sr.index;
+    seen[sr.index] = true;
+  }
+
+  const auto rest = sched::run_campaign_to_store(tc, cfg, failed.path(), sc,
+                                                 /*resume=*/true);
+  EXPECT_TRUE(rest.complete);
+  EXPECT_EQ(rest.resumed, partial.records.size());
+  TempFile ma("throw_merge_a"), mb("throw_merge_b");
+  (void)merge_stores({uninterrupted.path()}, ma.path());
+  (void)merge_stores({failed.path()}, mb.path());
+  EXPECT_EQ(slurp(ma.path()), slurp(mb.path()));
 }
 
 TEST(Scheduler, ProgressReachesTotal) {

@@ -3,6 +3,7 @@
 // sink enabled produces byte-identical records to one with telemetry off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -403,6 +404,37 @@ TEST(CampaignTelemetry, ResultsIdenticalWithAndWithoutTelemetry) {
   EXPECT_NE(log.find("\"ev\":\"campaign_start\""), std::string::npos);
   EXPECT_NE(log.find("\"ev\":\"campaign_finish\""), std::string::npos);
   EXPECT_NE(log.find("\"ev\":\"injection\""), std::string::npos);
+}
+
+// The in-memory campaign claims single indices, so a small campaign still
+// spreads over several workers (the thread-count identity tests rely on
+// it), and it has no shards, so it writes no shard events.
+TEST(CampaignTelemetry, InMemoryCampaignClaimsSingleIndicesOnEveryWorker) {
+  const avp::Testcase tc = small_testcase();
+  TempFile events("stream_events.jsonl");
+  inject::CampaignTelemetry tel;
+  tel.open_event_log(events.path());
+  inject::CampaignConfig cfg = small_campaign(60, 3);
+  cfg.telemetry = &tel;
+  const inject::CampaignResult r = inject::run_campaign(tc, cfg);
+  EXPECT_EQ(r.counts().total(), 60u);
+
+  const std::string log = slurp(events.path());
+  EXPECT_EQ(log.find("\"ev\":\"shard_"), std::string::npos);
+  std::vector<bool> seen(3, false);
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ev\":\"injection\"") == std::string::npos) continue;
+    for (u32 t = 0; t < 3; ++t) {
+      if (line.find("\"worker\":" + std::to_string(t) + ",") !=
+          std::string::npos) {
+        seen[t] = true;
+      }
+    }
+  }
+  // Every worker starts before the first one could finish 60 injections
+  // alone; at least two of them must have run some.
+  EXPECT_GE(std::count(seen.begin(), seen.end(), true), 2);
 }
 
 TEST(CampaignTelemetry, ProgressLineHasRateAndTallies) {
