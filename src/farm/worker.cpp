@@ -246,8 +246,9 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
       writer.flush();
     }
   }
-  // Parting snapshot so the fleet view ends exact, not one interval stale.
-  if (wt != nullptr && executed != last_snapshot) emit_metrics();
+  // Parting snapshot so the fleet view ends exact, not one interval stale
+  // (the lane engine folds its lane.* counters after its last record).
+  if (wt != nullptr) emit_metrics();
   ship_spans(writer);
   writer.flush();
   return 0;

@@ -60,8 +60,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/aux_sig.hpp"
 #include "common/bits.hpp"
@@ -166,56 +164,13 @@ class LaneEngine final : public InjectionEngine {
     deadline_ = plan.trace.completion_cycle + cfg.run.hang_margin;
   }
 
-  ~LaneEngine() override {
-    if (std::getenv("SFI_LANE_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "[lane-debug] trips=%llu ejected=%llu tails=%llu "
-                   "fallbacks=%llu retired_conv=%llu finish_live=%llu "
-                   "exec_cycles=%llu\n",
-                   (unsigned long long)dbg_trips_,
-                   (unsigned long long)dbg_ejected_,
-                   (unsigned long long)dbg_tails_,
-                   (unsigned long long)dbg_fallbacks_,
-                   (unsigned long long)dbg_conv_,
-                   (unsigned long long)dbg_finish_,
-                   (unsigned long long)exec_emu_->cycles_evaluated());
-      std::fprintf(stderr,
-                   "[lane-debug] saves=%llu restores=%llu restore_s=%.3f "
-                   "mirror_hits=%llu\n",
-                   (unsigned long long)dbg_saves_,
-                   (unsigned long long)dbg_restores_, dbg_restore_s_,
-                   (unsigned long long)(dbg_trips_ - dbg_restores_));
-      std::fprintf(stderr,
-                   "[lane-debug] fail: sig=%llu ras=%llu wide=%llu | "
-                   "tail_cycles=%llu outcomes:",
-                   (unsigned long long)dbg_fail_sig_,
-                   (unsigned long long)dbg_fail_ras_,
-                   (unsigned long long)dbg_fail_wide_,
-                   (unsigned long long)dbg_tail_cycles_);
-      for (int i = 0; i < 8; ++i) {
-        if (dbg_tail_outcome_[i] != 0) {
-          std::fprintf(stderr, " %d:%llu", i,
-                       (unsigned long long)dbg_tail_outcome_[i]);
-        }
-      }
-      std::fprintf(stderr, "\n[lane-debug] tail exec cycles:");
-      for (int i = 0; i < 8; ++i) {
-        if (dbg_tail_exec_[i] != 0) {
-          std::fprintf(stderr, " %d:%llu", i,
-                       (unsigned long long)dbg_tail_exec_[i]);
-        }
-      }
-      std::fprintf(stderr, " completion=%llu\n",
-                   (unsigned long long)trace_->completion_cycle);
-    }
-  }
-
   [[nodiscard]] std::string_view name() const override { return "lanes"; }
 
   void run(const Next& next, const Emit& emit,
            WorkerTelemetry* telemetry) override {
     emit_ = &emit;
     wt_ = telemetry;
+    counters_ = {};
     std::vector<u32> batch;
     batch.reserve(lanes_target_);
     bool drained = false;
@@ -231,6 +186,7 @@ class LaneEngine final : public InjectionEngine {
       }
       if (!batch.empty()) sweep(batch);
     }
+    if (wt_ != nullptr) wt_->record_lane_run(counters_);
     emit_ = nullptr;
     wt_ = nullptr;
   }
@@ -566,19 +522,25 @@ class LaneEngine final : public InjectionEngine {
       // skipped the lane's re-admission cycle): the restore would be a
       // byte-for-byte no-op.
     } else {
-      const auto t0 = std::chrono::steady_clock::now();
+      const bool timed = wt_ != nullptr;
+      const auto t0 = timed ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
       if (!trail_saved_) {
         trail_.emu->save_checkpoint(pair_cp_);
         trail_saved_ = true;
-        ++dbg_saves_;
+        ++counters_.saves;
       }
       const auto words = pair_cp_.latches.words_mut();
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
       exec_emu_->restore_checkpoint(pair_cp_);
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
-      ++dbg_restores_;
-      dbg_restore_s_ += std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - t0).count();
+      ++counters_.restores;
+      if (timed) {
+        counters_.restore_ns += static_cast<u64>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+      }
     }
     exec_mirror_ = kNoSlot;
     RunPhaseTimes* ph = wt_ != nullptr ? wt_->phase_scratch() : nullptr;
@@ -588,19 +550,21 @@ class LaneEngine final : public InjectionEngine {
     const std::function<bool()> hook = [this, slot] {
       return try_readmit(slot);
     };
-    ++dbg_trips_;
+    ++counters_.trips;
     const RunResult rr =
         exec_runner_->continue_run(*ln.fault, ph, &hook, &ejected);
     if (ejected) {
-      ++dbg_ejected_;
+      ++counters_.ejected;
       exec_mirror_ = slot;
       return false;
     }
-    ++dbg_tails_;
-    dbg_tail_cycles_ += rr.end_cycle > 0 ? rr.end_cycle - ln.fault->cycle : 0;
-    ++dbg_tail_outcome_[static_cast<int>(rr.outcome)];
+    const auto o = static_cast<std::size_t>(rr.outcome);
+    ++counters_.tails;
+    counters_.tail_cycles +=
+        rr.end_cycle > 0 ? rr.end_cycle - ln.fault->cycle : 0;
+    ++counters_.tail[o];
     // exec-paid cycles for this tail: from the trip cycle (lead's now) on.
-    dbg_tail_exec_[static_cast<int>(rr.outcome)] +=
+    counters_.tail_exec_cycles[o] +=
         rr.end_cycle > 0 ? rr.end_cycle - (lead_.emu->cycle() - 1) : 0;
     ln.live = false;
     --live_;
@@ -615,7 +579,7 @@ class LaneEngine final : public InjectionEngine {
     // (a) Equal aux-mutation signatures: array/memory state stayed equal
     // through the cycle (given equal before it, which holds inductively).
     if (exec_sig_.acc != lead_sig_.acc) {
-      ++dbg_fail_sig_;
+      ++counters_.fail_sig;
       return false;
     }
     // (b) Equal RAS view: no detection bookkeeping, terminal check or
@@ -628,7 +592,7 @@ class LaneEngine final : public InjectionEngine {
         er.corrected_count != lead_ras_.corrected_count ||
         er.instructions_completed != lead_ras_.instructions_completed ||
         er.test_finished != lead_ras_.test_finished) {
-      ++dbg_fail_ras_;
+      ++counters_.fail_ras;
       return false;
     }
     // (c) The re-diff must fit the carrier and stay clear of the RAS bits
@@ -641,7 +605,7 @@ class LaneEngine final : public InjectionEngine {
       const u64 x = ew[w] ^ lw[w];
       if (x == 0) continue;
       if ((x & ras_mask_[w]) != 0 || nd == kMaxDiffWords) {
-        ++dbg_fail_wide_;
+        ++counters_.fail_wide;
         return false;
       }
       d[nd].word = static_cast<u32>(w);
@@ -688,7 +652,7 @@ class LaneEngine final : public InjectionEngine {
                                                 /*early_exited=*/false);
       apply_detect_rule(rr);
       ensure(rr.end_cycle == now, "lane finish cycle mismatch");
-      ++dbg_finish_;
+      ++counters_.finish_live;
       ln.live = false;
       --live_;
       finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
@@ -712,7 +676,7 @@ class LaneEngine final : public InjectionEngine {
         // reference's, exactly the scalar early-exit classification.
         ln.live = false;
         --live_;
-        ++dbg_conv_;
+        ++counters_.retired_converged;
         if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
         finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
       }
@@ -748,7 +712,7 @@ class LaneEngine final : public InjectionEngine {
 
   /// Scalar fallback: the unmodified CampaignWorker flow on the executor.
   void run_scalar(u32 index, const FaultSpec& f) {
-    ++dbg_fallbacks_;
+    ++counters_.fallbacks;
     exec_mirror_ = kNoSlot;
     emu::Checkpoint* pf =
         tracker_ != nullptr ? &tracker_->prefault() : nullptr;
@@ -834,13 +798,9 @@ class LaneEngine final : public InjectionEngine {
   emu::Checkpoint finish_cp_;  ///< lead snapshot (end-of-test classify)
   bool trail_saved_ = false;
 
-  u64 dbg_saves_ = 0, dbg_restores_ = 0;
-  double dbg_restore_s_ = 0.0;
-  u64 dbg_trips_ = 0, dbg_ejected_ = 0, dbg_tails_ = 0, dbg_fallbacks_ = 0,
-      dbg_conv_ = 0, dbg_finish_ = 0, dbg_fail_sig_ = 0, dbg_fail_ras_ = 0,
-      dbg_fail_wide_ = 0, dbg_tail_cycles_ = 0;
-  u64 dbg_tail_outcome_[8] = {};
-  u64 dbg_tail_exec_[8] = {};
+  /// This run's work counters (the `lane.*` metrics; folded into the
+  /// worker's shard at the end of run() when a sink is attached).
+  LaneCounters counters_;
 
   const Emit* emit_ = nullptr;
   WorkerTelemetry* wt_ = nullptr;

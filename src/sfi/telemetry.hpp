@@ -6,8 +6,10 @@
 //   * the structured JSONL event log (campaign start/finish, shard
 //     dispatch/complete, sampled per-injection records, checkpoint
 //     save/restore), and
-//   * the Chrome-trace collector (one track per worker: shard spans with
-//     nested per-injection phase slices, loadable in chrome://tracing).
+//   * the span plane (telemetry/span.hpp, enable_span_plane): the campaign
+//     root slice, the checkpoint-store build, per-worker shard slices and
+//     exemplar-sampled per-injection phase slices, rendered as Trace Event
+//     JSON by trace_chrome_json() (`--chrome-trace`, `sfi trace`, /trace).
 //
 // Telemetry is strictly read-only with respect to results: it observes
 // records after they are built and never feeds anything back into fault
@@ -27,7 +29,6 @@
 #include <vector>
 
 #include "sfi/record.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -78,37 +79,65 @@ struct TelemetryConfig {
   /// Emit every Nth per-injection event-log record (1 = all, 0 = none).
   /// Lifecycle / shard / checkpoint events are never sampled away.
   u32 event_sample = 1;
-  /// Emit every Nth injection as Chrome-trace phase slices (1 = all,
-  /// 0 = shard spans only). Counted per worker.
-  u32 slice_sample = 1;
 };
+
+/// The lane engine's work counters for one LaneEngine::run: where its
+/// speedup goes (trips, probation ejections, recovery tails, scalar
+/// fallbacks) and why probation declined. Folded into the worker's metrics
+/// shard as the `lane.*` counters (DESIGN.md §16).
+struct LaneCounters {
+  u64 trips = 0;              ///< lanes materialized on the executor
+  u64 ejected = 0;            ///< trips re-admitted by probation
+  u64 tails = 0;              ///< trips the executor ran to the end
+  u64 fallbacks = 0;          ///< faults run on the scalar path at admission
+  u64 retired_converged = 0;  ///< lanes retired Vanished by a diff poll
+  u64 finish_live = 0;        ///< lanes classified when the test finished
+  u64 saves = 0;              ///< trail checkpoint saves
+  u64 restores = 0;           ///< executor restores for a trip
+  u64 restore_ns = 0;         ///< wall time in those restores
+  u64 fail_sig = 0;           ///< probation: aux-signature mismatch
+  u64 fail_ras = 0;           ///< probation: RAS status mismatch
+  u64 fail_wide = 0;          ///< probation: re-diff outside the carrier
+  u64 tail_cycles = 0;        ///< fault-to-end cycles over all tails
+  std::array<u64, kNumOutcomes> tail{};  ///< tails by outcome
+  /// Executor cycles paid by tails (trip cycle to end), by outcome.
+  std::array<u64, kNumOutcomes> tail_exec_cycles{};
+};
+/// LaneCounters' scalar (non-array) fields.
+inline constexpr std::size_t kNumLaneCounters = 13;
 
 class CampaignTelemetry;
 
-/// One worker thread's telemetry handle: a private metrics shard, a private
-/// trace track, and a scratch RunPhaseTimes for the runner. Not thread-safe;
-/// exactly one worker owns each handle (create via prepare_workers()).
+/// One worker thread's telemetry handle: a private metrics shard, its span
+/// track (tid + 1 in the owner's book), and a scratch RunPhaseTimes for the
+/// runner. Not thread-safe; exactly one worker owns each handle (create via
+/// prepare_workers()).
 class WorkerTelemetry {
  public:
   /// Scratch the runner fills per injection (stable address).
   [[nodiscard]] RunPhaseTimes* phase_scratch() { return &phases_; }
 
-  /// Shard lifecycle (scheduler only): event-log record + trace span.
+  /// Shard lifecycle (scheduler only): event-log record + shard slice.
   void shard_begin(u64 shard, u64 injections);
   void shard_end(u64 shard, u64 executed);
 
   /// Observe one completed injection: phase histograms, outcome tallies,
-  /// detection latency, sampled event record and trace slices. `index` is
+  /// detection latency, sampled event record and (when the exemplar policy
+  /// picks it) phase slices. `index` is
   /// the injection's campaign index; `detect_latency` is cycles from fault
   /// to first RAS reaction (nullopt: never detected).
   void record_injection(u32 index, const InjectionRecord& rec,
                         std::optional<Cycle> detect_latency);
 
   /// Observe one completed footprint re-run: spread counters, peak/mask
-  /// histograms, sampled "propagation" event record and a trace slice with
-  /// per-sample instants. `seconds` is the re-run's wall time.
+  /// histograms, sampled "propagation" event record and, when the exemplar
+  /// policy recorded this injection, a footprint slice. `seconds` is the
+  /// re-run's wall time.
   void record_footprint(u32 index, const PropagationRecord& rec,
                         double seconds);
+
+  /// Add one lane-engine run's counters to this worker's shard.
+  void record_lane_run(const LaneCounters& c);
 
   /// Fold this worker's shard into the owning registry now. Called by the
   /// worker thread itself (the only thread allowed to touch the shard) at
@@ -123,15 +152,15 @@ class WorkerTelemetry {
   CampaignTelemetry& owner_;
   u32 tid_ = 0;
   telemetry::MetricsShard shard_;
-  telemetry::TraceTrack* track_ = nullptr;
   RunPhaseTimes phases_;
   telemetry::JsonWriter scratch_;  ///< reused per event (no per-event alloc)
-  u64 seq_ = 0;            ///< injections seen by this worker (sampling)
-  u64 shard_start_us_ = 0;  ///< open shard span start
   /// Span plane (owner's book; null when the plane is off).
   telemetry::SpanBook* book_ = nullptr;
   telemetry::TailExemplarPolicy exemplar_;
   u64 span_shard_start_us_ = 0;  ///< open shard span start (wall-anchored)
+  /// Index of the last injection the exemplar policy recorded (its
+  /// footprint, if traced, gets a slice too).
+  std::optional<u32> sliced_index_;
 };
 
 class CampaignTelemetry {
@@ -143,7 +172,6 @@ class CampaignTelemetry {
 
   // --- sinks (attach before the campaign starts) ---
   void open_event_log(const std::string& path);
-  void enable_chrome_trace();
   /// Attach the distributed span plane: a wall-anchored SpanBook every
   /// lifecycle / farm / per-injection hook records into, plus the
   /// tail-latency exemplar policy for per-injection phase slices.
@@ -175,7 +203,6 @@ class CampaignTelemetry {
   [[nodiscard]] telemetry::EventLog* events() {
     return events_.is_open() ? &events_ : nullptr;
   }
-  [[nodiscard]] telemetry::TraceCollector* trace() { return trace_.get(); }
   [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
   // --- lifecycle (single-threaded call sites) ---
@@ -255,6 +282,7 @@ class CampaignTelemetry {
   // --- outputs ---
   /// Merge outstanding shards and write the registry as JSON.
   void write_metrics(const std::string& path);
+  /// Write trace_chrome_json() (requires enable_span_plane).
   void write_chrome_trace(const std::string& path) const;
 
   /// Microseconds since this telemetry object was created (event stamps).
@@ -265,11 +293,8 @@ class CampaignTelemetry {
 
   TelemetryConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
-  u64 start_us_ = 0;  ///< campaign_start stamp (campaign trace slice)
   telemetry::MetricsRegistry registry_;
   telemetry::EventLog events_;
-  std::unique_ptr<telemetry::TraceCollector> trace_;
-  telemetry::TraceTrack* main_track_ = nullptr;
   std::vector<std::unique_ptr<WorkerTelemetry>> workers_;
 
   /// Span plane (enable_span_plane): the process-wide book plus spans
@@ -318,6 +343,11 @@ class CampaignTelemetry {
   telemetry::GaugeId g_ckpt_count_{};
   telemetry::GaugeId g_ckpt_bytes_{};
   telemetry::GaugeId g_ckpt_interval_{};
+  // Lane engine: LaneCounters' scalar fields (kLaneCounters order), then
+  // its per-outcome arrays.
+  std::array<telemetry::CounterId, kNumLaneCounters> c_lane_{};
+  std::array<telemetry::CounterId, kNumOutcomes> c_lane_tail_{};
+  std::array<telemetry::CounterId, kNumOutcomes> c_lane_tail_exec_{};
 
   /// Live outcome tallies for the progress line (relaxed atomics; the
   /// authoritative numbers are the merged registry counters).

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "telemetry/json.hpp"
@@ -192,6 +193,23 @@ std::string spans_to_chrome_json(const std::vector<SpanRecord>& spans) {
         .key("args")
         .begin_object()
         .field("name", first->process)
+        .end_object()
+        .end_object();
+  }
+  // One thread_name row per (pid, tid): tid 0 is the process's lifecycle
+  // row, tid k + 1 carries worker k's shard and injection slices.
+  std::set<std::pair<u64, u32>> tracks;
+  for (const SpanRecord& s : spans) tracks.emplace(s.pid, s.tid);
+  for (const auto& [pid, tid] : tracks) {
+    w.begin_object()
+        .field("name", "thread_name")
+        .field("ph", "M")
+        .field("pid", pid)
+        .field("tid", tid)
+        .key("args")
+        .begin_object()
+        .field("name", tid == 0 ? std::string("lifecycle")
+                                : "worker " + std::to_string(tid - 1))
         .end_object()
         .end_object();
   }

@@ -1,12 +1,15 @@
-// Cross-process span plane: the distributed complement of chrome_trace.
+// Span plane: the one Trace Event timeline of a campaign.
 //
-// The PR 3 TraceCollector sees one process — its tracks share a steady
-// epoch, so a single-process file needs no clock story. A farm campaign is
-// many processes on (potentially) many hosts, and the interesting time goes
-// *between* them: dispatch-to-first-heartbeat, retry backoff, a straggler
-// shard. The span plane records those as SpanRecords, durably, in the same
-// store the results travel through ('S' frames, store/codec.hpp), and a
-// stitcher reassembles the fleet's timeline after the fact.
+// Every process that takes part in a campaign records SpanRecords into its
+// own SpanBook: the campaign root slice, the checkpoint-store build, shard
+// slices and tail-latency exemplar injections per worker thread, and, in a
+// farm, the coordinator's dispatch and retry spans. A farm campaign is many
+// processes on (potentially) many hosts, and the interesting time often
+// goes *between* them: dispatch-to-first-heartbeat, retry backoff, a
+// straggler shard. So the spans travel durably, in the same store the
+// results travel through ('S' frames, store/codec.hpp), and one renderer
+// (spans_to_chrome_json) turns them into the file `--chrome-trace`,
+// `sfi trace` and the daemon's /trace all produce.
 //
 // Clock reconciliation without coordination: every SpanBook captures one
 // (wall, steady) pair at construction and stamps spans with
@@ -38,7 +41,7 @@ struct SpanRecord {
   u64 span_id = 0;    ///< unique within the trace (pid folded into the id)
   u64 parent_id = 0;  ///< 0 = root
   u64 pid = 0;        ///< OS process id: one trace process row per pid
-  u32 tid = 0;        ///< track within the process row
+  u32 tid = 0;        ///< track: 0 lifecycle, k + 1 worker thread k
   char ph = 'X';      ///< 'X' complete slice | 'i' instant
   u64 ts_us = 0;      ///< wall-anchored microseconds (unix epoch)
   u64 dur_us = 0;     ///< slice duration ('i': 0)
@@ -142,8 +145,9 @@ class TailExemplarPolicy {
 
 /// Render spans as a Trace Event JSON document ({"traceEvents":[...]}) —
 /// one process row per distinct pid (process_name metadata from the first
-/// span carrying that pid), timestamps normalized to the earliest span so
-/// the file opens at t=0 in Perfetto / chrome://tracing.
+/// span carrying that pid), one named track per (pid, tid) ("lifecycle"
+/// for tid 0, "worker k" for tid k + 1), timestamps normalized to the
+/// earliest span so the file opens at t=0 in Perfetto / chrome://tracing.
 [[nodiscard]] std::string spans_to_chrome_json(
     const std::vector<SpanRecord>& spans);
 

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,10 +15,10 @@
 #include "avp/testgen.hpp"
 #include "sched/scheduler.hpp"
 #include "sfi/campaign.hpp"
+#include "sfi/engine.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
@@ -315,7 +317,7 @@ TEST(FlightRecorder, EventLogTeesIntoGlobalRecorder) {
             std::string::npos);
 }
 
-// --- event log & chrome trace --------------------------------------------
+// --- event log ---------------------------------------------------------
 
 TEST(EventLog, EmitsOneLinePerEvent) {
   TempFile f("events.jsonl");
@@ -326,23 +328,6 @@ TEST(EventLog, EmitsOneLinePerEvent) {
   log.flush();
   EXPECT_EQ(log.emitted(), 2u);
   EXPECT_EQ(slurp(f.path()), "{\"ev\":\"a\"}\n{\"ev\":\"b\"}\n");
-}
-
-TEST(ChromeTrace, TracksSlicesAndMetadata) {
-  telemetry::TraceCollector tc("proc");
-  telemetry::TraceTrack& t0 = tc.add_track("worker 0");
-  telemetry::TraceTrack& t1 = tc.add_track("worker 1");
-  t0.slice("inject", "run", 10, 5, "{\"i\":1}");
-  t1.instant("mark", "run", 12);
-  const std::string j = tc.to_json();
-  EXPECT_NE(j.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(j.find("process_name"), std::string::npos);
-  EXPECT_NE(j.find("\"worker 0\""), std::string::npos);
-  EXPECT_NE(j.find("\"worker 1\""), std::string::npos);
-  EXPECT_NE(j.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(j.find("\"dur\":5"), std::string::npos);
-  EXPECT_NE(j.find("{\"i\":1}"), std::string::npos);
 }
 
 // --- campaign integration -------------------------------------------------
@@ -370,6 +355,43 @@ bool records_equal(const inject::InjectionRecord& a,
          a.recoveries == b.recoveries;
 }
 
+/// Worker indices (tid - 1) matched by `re` in a rendered trace.
+std::set<u32> worker_tids(const std::string& json, const std::regex& re) {
+  std::set<u32> out;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), re);
+       it != std::sregex_iterator(); ++it) {
+    const auto tid = static_cast<u32>(std::stoul((*it)[1].str()));
+    if (tid > 0) out.insert(tid - 1);
+  }
+  return out;
+}
+
+/// The span plane of an in-process campaign, rendered: the lifecycle
+/// slices on tid 0, and one named track per worker that recorded spans
+/// (every worker that ran an injection does: the exemplar policy always
+/// slices its first). `shards`: the store path also records shard slices.
+void expect_campaign_trace(const inject::CampaignTelemetry& tel,
+                           bool shards) {
+  const std::string json = tel.trace_chrome_json();
+  EXPECT_NE(json.find("\"name\":\"campaign\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"build checkpoint store\",\"cat\":\"plan\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"injection"), std::string::npos);
+  EXPECT_EQ(json.find("\"cat\":\"shard\"") != std::string::npos, shards);
+  const std::set<u32> rows = worker_tids(
+      json,
+      std::regex(R"re("name":"thread_name","ph":"M","pid":\d+,"tid":(\d+))re"));
+  const std::set<u32> tracks = worker_tids(
+      json, std::regex(R"re("ph":"X","ts":\d+,"pid":\d+,"tid":(\d+))re"));
+  EXPECT_FALSE(tracks.empty());
+  EXPECT_EQ(rows, tracks);
+  for (const u32 w : rows) {
+    EXPECT_NE(json.find("\"name\":\"worker " + std::to_string(w) + "\""),
+              std::string::npos)
+        << w;
+  }
+}
+
 TEST(CampaignTelemetry, ResultsIdenticalWithAndWithoutTelemetry) {
   const avp::Testcase tc = small_testcase();
 
@@ -379,7 +401,7 @@ TEST(CampaignTelemetry, ResultsIdenticalWithAndWithoutTelemetry) {
   TempFile events("campaign_events.jsonl");
   inject::CampaignTelemetry tel;
   tel.open_event_log(events.path());
-  tel.enable_chrome_trace();
+  tel.enable_span_plane("sfi", 0);
   inject::CampaignConfig cfg = small_campaign(40, 2);
   cfg.telemetry = &tel;
   const inject::CampaignResult traced = inject::run_campaign(tc, cfg);
@@ -404,6 +426,7 @@ TEST(CampaignTelemetry, ResultsIdenticalWithAndWithoutTelemetry) {
   EXPECT_NE(log.find("\"ev\":\"campaign_start\""), std::string::npos);
   EXPECT_NE(log.find("\"ev\":\"campaign_finish\""), std::string::npos);
   EXPECT_NE(log.find("\"ev\":\"injection\""), std::string::npos);
+  expect_campaign_trace(tel, /*shards=*/false);
 }
 
 // The in-memory campaign claims single indices, so a small campaign still
@@ -521,7 +544,6 @@ TEST(CampaignTelemetry, EventSamplingThinsInjectionRecords) {
   TempFile events("sampled_events.jsonl");
   inject::TelemetryConfig tcfg;
   tcfg.event_sample = 0;  // lifecycle only
-  tcfg.slice_sample = 0;
   inject::CampaignTelemetry tel(tcfg);
   tel.open_event_log(events.path());
   inject::CampaignConfig cfg = small_campaign(20, 1);
@@ -548,7 +570,7 @@ TEST(ScheduledTelemetry, StoreBytesIdenticalWithTelemetryOn) {
 
   inject::CampaignTelemetry tel;
   tel.open_event_log(events.path());
-  tel.enable_chrome_trace();
+  tel.enable_span_plane("sfi", 0);
   inject::CampaignConfig cfg = small_campaign(30, 1);
   cfg.telemetry = &tel;
   const sched::ScheduledResult r =
@@ -561,6 +583,9 @@ TEST(ScheduledTelemetry, StoreBytesIdenticalWithTelemetryOn) {
   const std::string log = slurp(events.path());
   EXPECT_NE(log.find("\"ev\":\"shard_dispatch\""), std::string::npos);
   EXPECT_NE(log.find("\"ev\":\"shard_complete\""), std::string::npos);
+  expect_campaign_trace(tel, /*shards=*/true);
+  EXPECT_NE(tel.trace_chrome_json().find("\"name\":\"worker 0\""),
+            std::string::npos);
 }
 
 TEST(ScheduledTelemetry, CanonicalMergeIdenticalAcrossThreadCounts) {
@@ -580,7 +605,7 @@ TEST(ScheduledTelemetry, CanonicalMergeIdenticalAcrossThreadCounts) {
                                      plain_store.path(), sc);
 
   inject::CampaignTelemetry tel;
-  tel.enable_chrome_trace();
+  tel.enable_span_plane("sfi", 0);
   inject::CampaignConfig cfg = small_campaign(36, 3);
   cfg.telemetry = &tel;
   (void)sched::run_campaign_to_store(tc, cfg, traced_store.path(), sc);
@@ -588,6 +613,55 @@ TEST(ScheduledTelemetry, CanonicalMergeIdenticalAcrossThreadCounts) {
   (void)store::merge_stores({plain_store.path()}, plain_merged.path());
   (void)store::merge_stores({traced_store.path()}, traced_merged.path());
   EXPECT_EQ(slurp(plain_merged.path()), slurp(traced_merged.path()));
+  expect_campaign_trace(tel, /*shards=*/true);
+}
+
+// The lane engine's work counters reach the metrics registry (and from
+// there --metrics-out, /metrics and 'M' frames) without touching records.
+TEST(CampaignTelemetry, LaneCountersFoldIntoRegistry) {
+  const avp::Testcase tc = small_testcase();
+  inject::CampaignConfig cfg = small_campaign(200, 3);
+  cfg.engine = inject::EngineKind::Lanes;
+  cfg.lanes = 16;
+  const inject::CampaignResult plain = inject::run_campaign(tc, cfg);
+
+  inject::CampaignTelemetry tel;
+  cfg.telemetry = &tel;
+  const inject::CampaignResult traced = inject::run_campaign(tc, cfg);
+  ASSERT_EQ(plain.records.size(), traced.records.size());
+  for (std::size_t i = 0; i < plain.records.size(); ++i) {
+    EXPECT_TRUE(records_equal(plain.records[i], traced.records[i]))
+        << "record " << i;
+  }
+
+  const auto& m = tel.metrics();
+  const u64 trips = m.counter_value_by_name("lane.trips");
+  const u64 tails = m.counter_value_by_name("lane.tails");
+  EXPECT_GT(trips, 0u);
+  EXPECT_EQ(trips, m.counter_value_by_name("lane.ejected") + tails);
+  u64 tail_sum = 0;
+  for (const auto o : inject::kAllOutcomes) {
+    tail_sum += m.counter_value_by_name("lane.tail." +
+                                        std::string(to_string(o)));
+  }
+  EXPECT_EQ(tail_sum, tails);
+  EXPECT_GT(m.counter_value_by_name("lane.retired_converged"), 0u);
+  if (m.counter_value_by_name("lane.restores") > 0) {
+    EXPECT_GT(m.counter_value_by_name("lane.restore_ns"), 0u);
+  }
+
+  // The scalar engine registers the same counters and never moves them.
+  inject::CampaignTelemetry scalar_tel;
+  cfg.engine = inject::EngineKind::Scalar;
+  cfg.telemetry = &scalar_tel;
+  (void)inject::run_campaign(tc, cfg);
+  std::size_t lane_counters = 0;
+  for (const auto& [name, value] : scalar_tel.metrics().snapshot().counters) {
+    if (!name.starts_with("lane.")) continue;
+    ++lane_counters;
+    EXPECT_EQ(value, 0u) << name;
+  }
+  EXPECT_EQ(lane_counters, 13u + 2 * inject::kNumOutcomes);
 }
 
 TEST(ScheduledTelemetry, ProgressReportsExecutedAndWall) {

@@ -253,6 +253,70 @@ TEST(ChromeJson, ProcessRowsAndTsNormalization) {
   EXPECT_NE(json.find("\"ts\":500"), std::string::npos);
 }
 
+// One named track per (pid, tid), complete slices with their duration,
+// instants, and args spliced into each event's args object.
+TEST(ChromeJson, TracksSlicesAndMetadata) {
+  telemetry::SpanRecord lifecycle = sample_span();
+  lifecycle.pid = 9;
+  lifecycle.tid = 0;
+  lifecycle.process = "proc";
+  lifecycle.name = "campaign";
+  lifecycle.args_json.clear();
+  telemetry::SpanRecord inject = lifecycle;
+  inject.tid = 1;
+  inject.name = "inject";
+  inject.ts_us += 10;
+  inject.dur_us = 5;
+  inject.args_json = R"({"i":1})";
+  telemetry::SpanRecord mark = lifecycle;
+  mark.tid = 2;
+  mark.ph = 'i';
+  mark.name = "mark";
+  mark.ts_us += 12;
+  const std::string j =
+      telemetry::spans_to_chrome_json({lifecycle, inject, mark});
+  EXPECT_NE(j.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(j.find(R"("name":"process_name","ph":"M","pid":9,"tid":0,)"
+                   R"("args":{"name":"proc"})"),
+            std::string::npos);
+  EXPECT_NE(j.find(R"("name":"thread_name","ph":"M","pid":9,"tid":0,)"
+                   R"("args":{"name":"lifecycle"})"),
+            std::string::npos);
+  EXPECT_NE(j.find(R"("name":"thread_name","ph":"M","pid":9,"tid":1,)"
+                   R"("args":{"name":"worker 0"})"),
+            std::string::npos);
+  EXPECT_NE(j.find(R"("name":"thread_name","ph":"M","pid":9,"tid":2,)"
+                   R"("args":{"name":"worker 1"})"),
+            std::string::npos);
+  EXPECT_NE(j.find(R"("name":"inject","cat":"shard.exec","ph":"X","ts":10,)"
+                   R"("pid":9,"tid":1,"dur":5,)"),
+            std::string::npos);
+  EXPECT_NE(j.find(R"("name":"mark","cat":"shard.exec","ph":"i","ts":12,)"),
+            std::string::npos);
+  EXPECT_NE(j.find(R"("span_id":42,"parent":7,"i":1})"), std::string::npos);
+}
+
+TEST(ChromeJson, OneThreadRowPerProcessTrack) {
+  std::vector<telemetry::SpanRecord> spans;
+  for (const u64 pid : {1u, 2u}) {
+    for (const u32 tid : {0u, 1u, 1u, 4u}) {
+      telemetry::SpanRecord sp = sample_span();
+      sp.pid = pid;
+      sp.tid = tid;
+      spans.push_back(sp);
+    }
+  }
+  const std::string j = telemetry::spans_to_chrome_json(spans);
+  std::size_t rows = 0;
+  for (auto at = j.find("\"thread_name\""); at != std::string::npos;
+       at = j.find("\"thread_name\"", at + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, 6u);  // {0, 1, 4} on each of two processes
+  EXPECT_NE(j.find(R"("pid":2,"tid":4,"args":{"name":"worker 3"})"),
+            std::string::npos);
+}
+
 TEST(ChromeJson, EscapesHostileSpanNames) {
   telemetry::SpanRecord sp = sample_span();
   sp.name = "quote\" backslash\\ newline\n tab\t bell\x07";

@@ -86,7 +86,8 @@
 //                         teed into a <out>.trace.sfr sidecar that
 //                         `sfi trace <out>.sfr` stitches into one
 //                         Perfetto timeline. Merge drops 'S' frames, so
-//                         the canonical store stays byte-identical
+//                         the canonical store stays byte-identical. Farm
+//                         only: a single-process run takes --chrome-trace
 //   --postmortem FILE     crash flight recorder: keep recent telemetry
 //                         lines in a fixed in-memory ring and dump them to
 //                         FILE on a fatal signal; in farm mode also dumped
@@ -121,10 +122,14 @@
 //   --events-out FILE     stream a structured JSONL event log (campaign
 //                         lifecycle, shard dispatch, checkpoint saves,
 //                         sampled per-injection records)
-//   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline (one track
-//                         per worker, shard spans, per-injection phase
-//                         slices); load it in chrome://tracing
-//   --telemetry-sample N  keep every Nth per-injection event/trace slice
+//   --chrome-trace FILE   write the run's span plane as a Chrome-trace/
+//                         Perfetto timeline: campaign and checkpoint-build
+//                         slices, one track per worker with shard slices
+//                         and exemplar-sampled per-injection phase slices
+//                         (every 16th plus each one over the moving p99);
+//                         in farm mode also every worker process's spans.
+//                         Load it in chrome://tracing or Perfetto
+//   --telemetry-sample N  keep every Nth per-injection event-log record
 //                         (default 1 = all; lifecycle events are never
 //                         sampled away)
 //   --progress            live one-line progress (rate, ETA, outcome
@@ -345,7 +350,9 @@ commands:
               plane (--http ADDR [--interval SECS] [--once]); the same
               endpoint Prometheus scrapes at /metrics
 telemetry (campaign/beam): --metrics-out FILE, --events-out FILE.jsonl,
-  --chrome-trace FILE.json, --telemetry-sample N, --progress
+  --chrome-trace FILE.json (span-plane timeline: shard and exemplar-sampled
+  injection slices per worker), --telemetry-sample N (event-log records
+  only), --progress; farm campaigns also --trace-spans
 run `head -60 tools/sfi_cli.cpp` for the full option list.
 )";
   return 2;
@@ -522,12 +529,13 @@ struct TelemetrySinks {
     if (trace_out) {
       tel->write_chrome_trace(*trace_out);
       std::cout << "chrome trace: " << *trace_out
-                << " (load in chrome://tracing)\n";
+                << " (load in chrome://tracing or Perfetto)\n";
     }
   }
 };
 
-TelemetrySinks make_telemetry(const Args& a) {
+/// `process` labels this process's row in the --chrome-trace timeline.
+TelemetrySinks make_telemetry(const Args& a, std::string process) {
   TelemetrySinks s;
   s.metrics_out = a.str("metrics-out");
   s.trace_out = a.str("chrome-trace");
@@ -547,12 +555,10 @@ TelemetrySinks make_telemetry(const Args& a) {
       !postmortem && !trace_spans) {
     return s;
   }
-  inject::TelemetryConfig tc;
-  tc.event_sample = sample;
-  tc.slice_sample = sample;
-  s.tel = std::make_unique<inject::CampaignTelemetry>(tc);
+  s.tel = std::make_unique<inject::CampaignTelemetry>(
+      inject::TelemetryConfig{.event_sample = sample});
   if (events_out) s.tel->open_event_log(*events_out);
-  if (s.trace_out) s.tel->enable_chrome_trace();
+  if (s.trace_out) s.tel->enable_span_plane(std::move(process), 0);
   return s;
 }
 
@@ -719,7 +725,9 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
   fc.watchdog_seconds = static_cast<double>(a.num("watchdog", 30));
   fc.sabotage = sabotage_from_args(a);
   fc.keep_shards = a.flag("keep-shards");
-  fc.trace_spans = a.flag("trace-spans");
+  // The coordinator renders --chrome-trace from its own book plus the worker
+  // spans it retains from delivered 'S' frames, so workers must record them.
+  fc.trace_spans = a.flag("trace-spans") || sinks.trace_out.has_value();
   fc.postmortem_path = postmortem_from_args(a);
   install_stop_handler();
   fc.should_stop = [] { return g_stop_requested != 0; };
@@ -864,14 +872,26 @@ int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
   return 0;
 }
 
-int cmd_campaign(const Args& a) {
-  const avp::Testcase tc = make_testcase(a);
-  inject::CampaignConfig cfg = campaign_config(a, 1000);
-  const TelemetrySinks sinks = make_telemetry(a);
-  cfg.telemetry = sinks.get();
+/// --trace-spans feeds the farm's trace sidecar; a single-process run has
+/// no sidecar and would record nothing, so refuse rather than ignore it.
+void reject_trace_spans(const Args& a, std::string_view verb) {
+  if (!a.flag("trace-spans")) return;
+  throw CliError(std::string(verb) +
+                 ": --trace-spans is for farm campaigns (campaign --out FILE "
+                 "--workers N or --farm HOSTS.txt); for a single-process "
+                 "timeline use --chrome-trace FILE.json");
+}
 
+int cmd_campaign(const Args& a) {
   const bool farm_mode =
       a.opts.count("workers") != 0 || a.opts.count("farm") != 0;
+  if (!farm_mode) reject_trace_spans(a, "campaign");
+  const avp::Testcase tc = make_testcase(a);
+  inject::CampaignConfig cfg = campaign_config(a, 1000);
+  const TelemetrySinks sinks =
+      make_telemetry(a, farm_mode ? "sfi farm" : "sfi campaign");
+  cfg.telemetry = sinks.get();
+
   if (const auto out = a.str("out")) {
     if (farm_mode) return cmd_campaign_farm(a, tc, cfg, *out, sinks);
     return cmd_campaign_to_store(a, tc, cfg, *out, sinks);
@@ -1229,6 +1249,7 @@ int cmd_beam(const Args& a) {
           "proof), which is the lane engine's entire fast path");
     }
   }
+  reject_trace_spans(a, "beam");
   const avp::Testcase tc = make_testcase(a);
   beam::BeamConfig cfg;
   cfg.seed = a.num("seed", 42);
@@ -1237,7 +1258,7 @@ int cmd_beam(const Args& a) {
   cfg.core.checkers_enabled = !a.flag("raw");
   cfg.ckpt_interval = a.num("ckpt-interval", emu::kCkptAuto);
   cfg.ckpt_memory_budget = a.num("ckpt-mem", 64) << 20;
-  const TelemetrySinks sinks = make_telemetry(a);
+  const TelemetrySinks sinks = make_telemetry(a, "sfi beam");
   cfg.telemetry = sinks.get();
   const beam::BeamResult r = beam::run_beam_experiment(tc, cfg);
   if (sinks.progress && sinks.tel) {
