@@ -5,12 +5,12 @@
 // plane-off run of the same plan, at <5% wall-clock overhead.
 //
 // Both invariants gate CI (nonzero exit on violation). Arms are interleaved
-// off/on/off/on... and compared min-vs-min so one noisy neighbour on a CI
-// runner doesn't fail the build; byte identity is checked on every pair.
+// off/on/off/on... and the overhead estimate is the median of the per-pair
+// on/off ratios (bench::run_paired_ablation); byte identity is checked on
+// every pair.
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -21,23 +21,13 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/prometheus.hpp"
 
-namespace {
-
-std::vector<sfi::u8> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace sfi;
   const bench::Options opt = bench::parse_options(argc, argv);
   const u32 n = opt.full ? 10000 : 2000;
-  const u32 reps = opt.full ? 2 : 3;
-  bench::print_scale_note(opt, "2000 flips x 3 reps/arm",
-                          "10000 flips x 2 reps/arm");
+  const u32 pairs = opt.full ? 3 : 5;
+  bench::print_scale_note(opt, "2000 flips x 5 off/on pairs",
+                          "10000 flips x 3 off/on pairs");
 
   const avp::Testcase tc = bench::standard_testcase();
   inject::CampaignConfig base;
@@ -103,55 +93,23 @@ int main(int argc, char** argv) {
 
   std::cout << report::section(
       "Ablation: observability plane overhead + read-only gate");
-  report::Table t({"rep", "plane", "executed", "wall (s)", "inj/s"});
-  double best_off = -1.0;
-  double best_on = -1.0;
-  bool identical = true;
-  for (u32 rep = 0; rep < reps; ++rep) {
-    const farm::FarmResult off = run_off();
-    const farm::FarmResult on = run_on();
-    if (!off.complete || !on.complete) {
-      std::cout << "ERROR: farm run incomplete\n";
-      return 1;
-    }
-    if (slurp(out_off) != slurp(out_on)) identical = false;
-    if (best_off < 0.0 || off.wall_seconds < best_off) {
-      best_off = off.wall_seconds;
-    }
-    if (best_on < 0.0 || on.wall_seconds < best_on) {
-      best_on = on.wall_seconds;
-    }
-    t.add_row({report::Table::count(rep), "off",
-               report::Table::count(off.executed),
-               report::Table::num(off.wall_seconds, 2),
-               report::Table::count(
-                   static_cast<u64>(off.injections_per_second()))});
-    t.add_row({report::Table::count(rep), "ON",
-               report::Table::count(on.executed),
-               report::Table::num(on.wall_seconds, 2),
-               report::Table::count(
-                   static_cast<u64>(on.injections_per_second()))});
-  }
-  std::cout << t.to_string();
-
-  const double overhead = best_off > 0.0 ? best_on / best_off - 1.0 : 0.0;
-  std::cout << "\nscrapes: " << scrapes << " (" << scrape_bytes
+  const bench::PairedRuns p = bench::run_paired_ablation(
+      pairs, "plane", out_off, out_on, run_off, run_on);
+  if (!p.complete) return 1;
+  std::cout << "scrapes: " << scrapes << " (" << scrape_bytes
             << " bytes of exposition text)\n";
-  std::cout << "min wall: off " << report::Table::num(best_off, 3) << "s, on "
-            << report::Table::num(best_on, 3) << "s -> overhead "
-            << report::Table::pct(overhead) << " (budget 5%)\n";
   std::cout << "merged store byte-identical plane-on vs plane-off: "
-            << (identical ? "yes" : "NO") << "\n";
+            << (p.identical ? "yes" : "NO") << "\n";
 
   std::filesystem::remove(out_off);
   std::filesystem::remove(out_on);
   std::filesystem::remove(postmortem);
 
-  if (!identical) {
+  if (!p.identical) {
     std::cout << "VIOLATION: observability plane changed store bytes\n";
     return 1;
   }
-  if (overhead >= 0.05) {
+  if (p.median_overhead() >= 0.05) {
     std::cout << "VIOLATION: plane overhead above the 5% budget\n";
     return 1;
   }

@@ -6,35 +6,20 @@
 //
 // Both invariants gate CI (nonzero exit on violation). Arms are interleaved
 // off/on/off/on... and the overhead estimate is the MEDIAN of the per-pair
-// on/off ratios: each pair runs back to back under the same ambient load,
-// so pairing cancels runner drift, and the median discards the one pair a
-// noisy neighbour landed on (min-vs-min compares arms that may have gotten
-// lucky at different times, which flips sign run to run on a busy box).
-// Byte identity is checked on every pair. The stitch runs inside the ON
-// arm's wall time: "trace on" means paying for both recording and
-// reassembly.
-#include <algorithm>
+// on/off ratios (bench::run_paired_ablation; min-vs-min compares arms that
+// may have gotten lucky at different times, which flips sign run to run on
+// a busy box). Byte identity is checked on every pair. The stitch runs
+// inside the ON arm's wall time: "trace on" means paying for both
+// recording and reassembly.
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <thread>
-#include <vector>
 
 #include "bench/common.hpp"
 #include "farm/farm.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/trace_stitch.hpp"
-
-namespace {
-
-std::vector<sfi::u8> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sfi;
@@ -43,7 +28,7 @@ int main(int argc, char** argv) {
   // supervision-poll jitter and the min-vs-min overhead estimate turns into
   // a coin flip against a 5% budget (the plane's true cost is ~2-3%).
   const u32 n = opt.full ? 10000 : 5000;
-  const u32 reps = opt.full ? 3 : 5;
+  const u32 pairs = opt.full ? 3 : 5;
   bench::print_scale_note(opt, "5000 flips x 5 reps/arm",
                           "10000 flips x 3 reps/arm");
 
@@ -93,53 +78,20 @@ int main(int argc, char** argv) {
 
   std::cout << report::section(
       "Ablation: span-plane overhead + read-only gate");
-  report::Table t({"rep", "spans", "executed", "wall (s)", "inj/s"});
-  std::vector<double> ratios;
-  bool identical = true;
-  for (u32 rep = 0; rep < reps; ++rep) {
-    const farm::FarmResult off = run_off();
-    const farm::FarmResult on = run_on();
-    if (!off.complete || !on.complete) {
-      std::cout << "ERROR: farm run incomplete\n";
-      return 1;
-    }
-    if (slurp(out_off) != slurp(out_on)) identical = false;
-    if (off.wall_seconds > 0.0) {
-      ratios.push_back(on.wall_seconds / off.wall_seconds);
-    }
-    t.add_row({report::Table::count(rep), "off",
-               report::Table::count(off.executed),
-               report::Table::num(off.wall_seconds, 2),
-               report::Table::count(
-                   static_cast<u64>(off.injections_per_second()))});
-    t.add_row({report::Table::count(rep), "ON",
-               report::Table::count(on.executed),
-               report::Table::num(on.wall_seconds, 2),
-               report::Table::count(
-                   static_cast<u64>(on.injections_per_second()))});
-  }
-  std::cout << t.to_string();
-
-  std::sort(ratios.begin(), ratios.end());
-  const double overhead =
-      ratios.empty() ? 0.0 : ratios[ratios.size() / 2] - 1.0;
-  std::cout << "\nstitched: " << stitched_spans << " spans across "
+  const bench::PairedRuns p = bench::run_paired_ablation(
+      pairs, "spans", out_off, out_on, run_off, run_on);
+  if (!p.complete) return 1;
+  std::cout << "stitched: " << stitched_spans << " spans across "
             << stitched_processes << " processes ("
             << trace_json_bytes << " bytes of trace JSON)\n";
-  std::cout << "per-pair on/off ratios:";
-  for (const double r : ratios) {
-    std::cout << ' ' << report::Table::num(r, 3);
-  }
-  std::cout << "\nmedian overhead " << report::Table::pct(overhead)
-            << " (budget 5%)\n";
   std::cout << "merged store byte-identical plane-on vs plane-off: "
-            << (identical ? "yes" : "NO") << "\n";
+            << (p.identical ? "yes" : "NO") << "\n";
 
   std::filesystem::remove(out_off);
   std::filesystem::remove(out_on);
   std::filesystem::remove(sidecar);
 
-  if (!identical) {
+  if (!p.identical) {
     std::cout << "VIOLATION: span plane changed store bytes\n";
     return 1;
   }
@@ -147,7 +99,7 @@ int main(int argc, char** argv) {
     std::cout << "VIOLATION: trace stitched empty (plane not recording?)\n";
     return 1;
   }
-  if (overhead >= 0.05) {
+  if (p.median_overhead() >= 0.05) {
     // A farm arm is 3 processes (coordinator + 2 workers); on a machine
     // with fewer cores than that they time-slice one another and wall
     // clock measures scheduler contention, not the plane. The overhead

@@ -275,11 +275,16 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       }
       argv.insert(argv.end(), farm.worker_command.begin(),
                   farm.worker_command.end());
-      argv.push_back("--shard-store");
-      argv.push_back(s.shard_path);
-      argv.push_back("--worker-id");
-      argv.push_back(std::to_string(s.id));
+      argv.insert(argv.end(), {"--shard-store", s.shard_path, "--worker-id",
+                               std::to_string(s.id), "--metrics-every",
+                               std::to_string(farm.metrics_every)});
       if (farm.trace_spans) argv.push_back("--trace-spans");
+      for (const auto& [flag, index] :
+           {std::pair{"--sabotage-crash", farm.sabotage.crash_index},
+            std::pair{"--sabotage-wedge", farm.sabotage.wedge_index}}) {
+        if (index) argv.insert(argv.end(), {flag, std::to_string(*index)});
+      }
+      if (farm.sabotage.wedge_once) argv.push_back("--sabotage-wedge-once");
       s.proc = spawn_exec(argv);
     } else {
       const WorkerOptions wo{s.id,          s.shard_path,

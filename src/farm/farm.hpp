@@ -51,10 +51,10 @@ struct FarmConfig {
   /// Fork-call worker count; ignored when `hosts` is non-empty.
   u32 workers = 2;
   std::vector<HostSlot> hosts;
-  /// Exec-mode worker command (binary + `worker` verb + campaign flags,
-  /// without --shard-store/--worker-id, which the coordinator appends).
-  /// Required when `hosts` is non-empty; built by the CLI so the worker
-  /// sees exactly the flags the coordinator was invoked with.
+  /// Exec-mode worker command: binary, `worker` verb and the campaign-
+  /// defining flags. Required when `hosts` is non-empty. The coordinator
+  /// appends the flags this config owns: --shard-store, --worker-id,
+  /// --metrics-every, --trace-spans and the --sabotage-* hooks.
   std::vector<std::string> worker_command;
   u32 shard_size = 64;
   /// Strikes before an injection is declared HarnessFatal.
@@ -67,8 +67,7 @@ struct FarmConfig {
   double backoff_base_seconds = 0.25;
   double backoff_cap_seconds = 10.0;
   double poll_seconds = 0.02;
-  /// Test hook forwarded to fork-call workers (exec workers receive theirs
-  /// via worker_command flags).
+  /// Test hook passed to every worker (attempt-gated, so retries succeed).
   SabotageConfig sabotage;
   /// Cooperative stop (SIGINT/SIGTERM): stop dispatching, kill in-flight
   /// workers (their committed records survive), merge what exists.
@@ -86,8 +85,7 @@ struct FarmConfig {
   /// into their shard store every N executed injections (0 = off). The
   /// coordinator folds delivered snapshots into the campaign telemetry's
   /// fleet view (CampaignTelemetry::note_worker_snapshot), which is what
-  /// the serve daemon's /metrics endpoint reads. Fork-call workers receive
-  /// this directly; exec workers need --metrics-every in worker_command.
+  /// the serve daemon's /metrics endpoint reads.
   u32 metrics_every = 0;
   /// When non-empty and the global flight recorder is enabled, dump the
   /// recorder's ring here after every supervision failure (worker crash,
@@ -99,8 +97,6 @@ struct FarmConfig {
   /// the `<out>.trace.sfr` sidecar, which survives shard cleanup so
   /// `sfi trace` can stitch the fleet's timeline later. The canonical merge
   /// drops 'S' frames, so the merged store is byte-identical either way.
-  /// Fork-call workers receive this directly; exec workers get
-  /// --trace-spans appended to worker_command by the coordinator.
   bool trace_spans = false;
   /// Campaign-scoped trace id propagated through assignment lines to every
   /// worker (0: derive one from the campaign fingerprint and wall clock).

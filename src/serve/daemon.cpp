@@ -588,19 +588,15 @@ void Daemon::run_one(Campaign& c) {
           "--n", std::to_string(c.spec.n),
           "--engine", inject::engine_name(c.spec.engine),
           "--lanes", std::to_string(c.spec.lanes)};
-      if (http_fd_ >= 0 && cfg_.metrics_every > 0) {
-        // Fleet metrics: workers snapshot their registries into the shard
-        // stream so /metrics covers every process, not just this one.
-        fc.metrics_every = cfg_.metrics_every;
-        fc.worker_command.push_back("--metrics-every");
-        fc.worker_command.push_back(std::to_string(cfg_.metrics_every));
-      }
+      // Fleet metrics: workers snapshot their registries into the shard
+      // stream so /metrics covers every process, not just this one.
+      if (http_fd_ >= 0) fc.metrics_every = cfg_.metrics_every;
       if (cfg_.flight_recorder_slots > 0) {
         fc.postmortem_path = c.store_path + ".postmortem.jsonl";
       }
       // Distributed trace: the farm coordinator (this thread) propagates
-      // the campaign id as the trace id and appends --trace-spans to the
-      // worker command itself; the sidecar lands next to the store.
+      // the campaign id as the trace id; the sidecar lands next to the
+      // store.
       fc.trace_spans = true;
       fc.trace_id = c.id;
       fc.shard_size = c.spec.shard_size;

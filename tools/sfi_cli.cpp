@@ -1,185 +1,15 @@
 // sfi — the command-line front end of the Statistical Fault Injection
 // framework.
 //
-//   sfi inventory                          latch/array population report
-//   sfi campaign [options]                 run a fault-injection campaign
-//   sfi worker   --shard-store FILE        farm worker (spawned by campaign
-//                                          --farm; reads stdin assignments)
-//   sfi report   --from FILE               regenerate tables from a store
-//   sfi explain  --from FILE               fault-propagation forensics report
-//   sfi merge    --out FILE IN...          merge campaign store shards
-//   sfi beam     [options]                 run a simulated beam exposure
-//   sfi trace    --latch NAME [options]    trace one fault cause→effect
-//   sfi trace    STORE.sfr [--out FILE]    stitch a campaign's distributed
-//                                          span plane into Perfetto JSON
-//   sfi mix      [options]                 AVP instruction mix & CPI
-//   sfi derate   [options]                 derating factors & FIT budget
-//   sfi serve    --state-dir DIR           multi-tenant campaign daemon
-//   sfi submit   --connect ADDR [options]  submit a campaign to a daemon
-//   sfi status   --connect ADDR            daemon + campaign status
-//   sfi watch    --connect ADDR --id N     stream a campaign's events
-//   sfi shutdown --connect ADDR            graceful daemon stop
-//   sfi top      --http ADDR               live per-campaign fleet table
+//   sfi inventory | campaign | worker | report | explain | merge | beam |
+//       trace | mix | derate | serve | submit | status | watch | shutdown |
+//       top
 //
-// Common options:
-//   --seed N              experiment seed               (default 42)
-//   --testcase-seed N     AVP workload seed             (default 2026)
-//   --instructions N      AVP testcase length           (default 160)
-// Campaign/beam options:
-//   --n N                 injections / beam events      (default 1000)
-//   --threads N           worker threads                (default: hw)
-//   --unit U              restrict to one unit (IFU..RUT, Core)
-//   --type T              restrict to one latch type (FUNC/REGFILE/MODE/GPTR)
-//   --raw                 mask all core checkers (Table 3 "Raw")
-//   --sticky D            sticky faults of D cycles instead of toggles
-//   --ckpt-interval N     reference-run checkpoint every N cycles so each
-//                         injection warm-starts instead of replaying from
-//                         cycle 0 (0 = off; default: auto from window size
-//                         and the memory budget). Never changes outcomes.
-//   --ckpt-mem MIB        checkpoint memory budget in MiB (default 64)
-//   --engine E            injection engine: scalar (one in-flight injection
-//                         per worker) or lanes (N in-flight injections as
-//                         XOR-diff lanes over one shared reference replay;
-//                         several times faster on checker-on campaigns —
-//                         see bench/ablation_lane_engine). Records are
-//                         byte-identical across engines (CI-gated), so
-//                         stores resume/merge across engine choices freely
-//   --lanes N             max in-flight injections per lane-engine sweep
-//                         (default 64; more lanes amortize the reference
-//                         replay further, diminishing past ~256)
-// Durable campaign options (scheduler + store):
-//   --out FILE.sfr        stream records to a durable campaign store
-//   --resume              continue an interrupted --out campaign; already
-//                         persisted injections are skipped exactly
-//   --shard-size N        injections per scheduler shard (default 64)
-//   --flush N             records buffered per worker between store
-//                         flushes (default 32)
-//   --max-new N           stop after N new injections (simulates an
-//                         interrupted run; finish later with --resume)
-//   SIGINT/SIGTERM        stop dispatching, flush committed work, close the
-//                         store cleanly and print the --resume hint (exit
-//                         130); a second signal kills immediately
-// Farm options (campaign; requires --out — workers stream per-worker shard
-// stores which the coordinator merges byte-identically to a 1-process run):
-//   --workers N           spawn N supervised local worker processes
-//   --farm HOSTS.txt      spawn workers per hosts file (`host [slots]`;
-//                         non-local hosts via ssh + shared filesystem)
-//   --watchdog SECS       kill a worker with no committed frame for SECS
-//                         (default 30); unfinished work retries elsewhere
-//   --strikes K           reproducible worker-killer injections get K tries
-//                         before being recorded as HarnessFatal (default 3)
-//   --keep-shards         keep per-worker shard files after the merge
-//   --sabotage-crash I    test hook: worker SIGKILLs itself at index I
-//                         (attempt 0 only, so the retry succeeds)
-//   --sabotage-wedge I    test hook: worker spins forever at index I
-//   --sabotage-wedge-once wedge only on attempt 0 (watchdog drill)
-//   --metrics-every N     workers serialize a cumulative metrics snapshot
-//                         ('M' frame) into their shard store every N
-//                         injections (default 32 — same as sfi serve;
-//                         0 = off); the coordinator folds them into its
-//                         fleet metrics view. Observability-only: the
-//                         canonical merge drops 'M' frames, so the merged
-//                         store is byte-identical either way
-//   --trace-spans         distributed trace: every process records spans
-//                         ('S' frames) — dispatch, retries, per-shard
-//                         execution, tail-latency exemplar injections —
-//                         teed into a <out>.trace.sfr sidecar that
-//                         `sfi trace <out>.sfr` stitches into one
-//                         Perfetto timeline. Merge drops 'S' frames, so
-//                         the canonical store stays byte-identical. Farm
-//                         only: a single-process run takes --chrome-trace
-//   --postmortem FILE     crash flight recorder: keep recent telemetry
-//                         lines in a fixed in-memory ring and dump them to
-//                         FILE on a fatal signal; in farm mode also dumped
-//                         after every supervision failure (worker crash,
-//                         watchdog kill, strikeout)
-// Worker options (`sfi worker`; campaign flags same as the coordinator):
-//   --shard-store FILE    shard store this worker appends to (required)
-//   --worker-id N         id stamped into heartbeat/assignment frames
-//   --metrics-every N     as above (appended by the coordinator)
-// Propagation forensics (campaign; records/store R frames stay byte-identical
-// with these on — footprints are extra 'P' frames older readers skip):
-//   --footprint           trace infection footprints: every non-Vanished
-//                         injection is re-run from a pre-fault snapshot and
-//                         its state diffed against the reference trace at
-//                         exponentially spaced cycles after the flip
-//   --footprint-sample N  also trace every Nth Vanished injection
-//                         (default 32; 0 = never trace Vanished)
-//   --footprint-window N  cap traced cycles after the flip for the bulk
-//                         classes Vanished/Corrected (default 512; escape
-//                         outcomes always get the full 4096-cycle window)
-//   --footprint-every-cycle
-//                         diff at every post-flip cycle instead of
-//                         exponentially (ablation/debug; implies --footprint)
-// Explain options:
-//   --from FILE.sfr       store to read 'P' frames from
-//   --json FILE           also write the full forensics report as JSON
-//   --csv FILE            also write one CSV row per traced injection
-// Telemetry options (campaign and beam; strictly read-only — records and
-// store bytes are identical with or without these):
-//   --metrics-out FILE    write the metrics registry (counters, gauges,
-//                         phase/latency histograms) as JSON at the end
-//   --events-out FILE     stream a structured JSONL event log (campaign
-//                         lifecycle, shard dispatch, checkpoint saves,
-//                         sampled per-injection records)
-//   --chrome-trace FILE   write the run's span plane as a Chrome-trace/
-//                         Perfetto timeline: campaign and checkpoint-build
-//                         slices, one track per worker with shard slices
-//                         and exemplar-sampled per-injection phase slices
-//                         (every 16th plus each one over the moving p99);
-//                         in farm mode also every worker process's spans.
-//                         Load it in chrome://tracing or Perfetto
-//   --telemetry-sample N  keep every Nth per-injection event-log record
-//                         (default 1 = all; lifecycle events are never
-//                         sampled away)
-//   --progress            live one-line progress (rate, ETA, outcome
-//                         tallies) on stderr
-// Serve options (`sfi serve`):
-//   --state-dir DIR       durable home for campaign stores + manifests
-//                         (required; a restarted daemon re-adopts it and
-//                         resumes incomplete campaigns)
-//   --listen ADDR         unix:PATH, tcp:HOST:PORT, or tcp:PORT
-//                         (default unix:<state-dir>/sfi.sock)
-//   --max-active N        campaigns running concurrently (default 2);
-//                         queued submissions are admitted fair-share by
-//                         tenant spend (price = injections x instructions)
-//   --campaign-threads N  scheduler threads for submissions that leave
-//                         --threads 0 (default 1: deterministic stop points)
-//   --http ADDR           HTTP observability listener (tcp:HOST:PORT or
-//                         tcp:PORT; tcp:0 picks a free port): GET /metrics
-//                         (Prometheus text format: fleet-wide counters,
-//                         histograms with p50/p95/p99, live per-stratum
-//                         early-stop gauges), /healthz and /campaigns
-//                         (JSON), /trace?campaign=N (live Trace Event JSON
-//                         of the campaign's distributed span plane)
-//   --metrics-every N     farm-worker snapshot cadence for daemon campaigns
-//                         while --http is on (default 32; 0 = off)
-// Top options (`sfi top`; a terminal dashboard over the HTTP plane):
-//   --http ADDR           daemon HTTP address to poll (required)
-//   --interval SECS       refresh period (default 2)
-//   --once                print one table and exit (no screen clearing)
-//   --json                machine-readable: one JSON object per refresh
-//                         (campaigns plus computed rate/ETA; no screen
-//                         control — pipe it to jq or a logger)
-// Client options (`sfi submit` / `status` / `watch` / `shutdown`):
-//   --connect ADDR        daemon address (same grammar as --listen)
-//   --tenant T            fair-share accounting bucket (default "default")
-//   --confidence C        interval confidence in (0,1)  (default 0.95; also
-//                         sets the CI level campaign/report tables print)
-//   --half-width W        early-stop target: stop once every stratum's
-//                         Wilson half-width is <= W     (default 0.02)
-//   --stratify-unit       require per-unit strata to meet the target too
-//   --wait                submit, then stream events until the campaign ends
-//   --json                status: raw JSON reply instead of the table
-//   --id N                watch: campaign id
-// Trace options (single-fault mode):
-//   --latch NAME[:BIT]    latch (by hierarchical name) to flip
-//   --cycle C             injection cycle               (default 30)
-// Trace options (stitch mode: `sfi trace STORE.sfr`):
-//   --out FILE.json       stitched Trace Event JSON     (default trace.json)
-#include <sys/socket.h>
-#include <unistd.h>
-
+// Every option is declared once below (name, kind, default, help, and
+// whether exec-mode farm workers receive it); verbs() at the end of the
+// file composes those declarations into one table per verb. An option
+// that is not in its verb's table is a usage error (exit 2) that prints
+// the verb's option list, so `sfi campaign --help` shows campaign's.
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -187,13 +17,12 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
-#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,14 +46,13 @@
 #include "store/reader.hpp"
 #include "store/trace_stitch.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "workload/spec_profiles.hpp"
 
 namespace {
 
 using namespace sfi;
 
-/// A bad command line (unknown value, missing argument). Exits with 2, like
-/// usage(), rather than 1 (runtime failure).
+/// A bad command line (unknown option, malformed value, missing argument).
+/// Exits with 2 rather than 1 (runtime failure).
 struct CliError : std::runtime_error {
   explicit CliError(const std::string& what) : std::runtime_error(what) {}
 };
@@ -269,112 +97,232 @@ double parse_f64(const std::string& key, const std::string& value) {
   return v;
 }
 
-/// Options that are bare flags (consume no value).
-const std::set<std::string>& flag_options() {
-  static const std::set<std::string> flags = {
-      "raw",       "resume",      "progress",
-      "footprint", "footprint-every-cycle",
-      "keep-shards", "sabotage-wedge-once",
-      "wait", "json", "stratify-unit", "once", "trace-spans"};
-  return flags;
+// --- option tables ----------------------------------------------------------
+
+enum class Kind : u8 { Flag, U64, U32, F64, Str };
+using enum Kind;
+
+/// kFwd: campaign-defining, an exec-mode farm passes it on to its `sfi
+/// worker` processes when given. kReq: the verb cannot run without it.
+enum Role : u8 { kPlain, kFwd, kReq };
+
+/// One command-line option, declared once. `dflt` is what an absent option
+/// reads as, written as on the command line ("" = absent unless given).
+/// `hint` ends the error for the option given in a mode it does not apply
+/// to; bit m of `modes` is set when it applies in mode m of its verb (see
+/// only() and Verb::modes).
+struct Opt {
+  std::string_view name;
+  Kind kind;
+  std::string_view dflt;
+  std::string_view help;
+  Role role = kPlain;
+  std::string_view hint = {};
+  u8 modes = 0xff;
+};
+using Opts = std::vector<Opt>;
+
+constexpr Opt kSeed{"seed", U64, "42", "experiment seed", kFwd};
+constexpr Opt kN{"n", U32, "1000", "injections (beam: strike events)", kFwd};
+constexpr Opt kRaw{"raw", Flag, "", "mask all core checkers (Table 3)", kFwd};
+constexpr Opt kSticky{"sticky", U64, "0",
+                      "sticky faults of N cycles (0: toggle faults)", kFwd};
+constexpr Opt kCkptInterval{"ckpt-interval", U64, "",
+                            "checkpoint every N cycles (0: off)", kFwd};
+constexpr Opt kCkptMem{"ckpt-mem", U64, "64", "checkpoint budget, MiB", kFwd};
+constexpr Opt kEngine{"engine", Str, "scalar", "scalar or lanes", kFwd};
+constexpr Opt kLanes{"lanes", U32, "64", "lane-engine sweep width", kFwd};
+constexpr Opt kThreads{"threads", U32, "0", "worker threads (0: one per core)"};
+constexpr Opt kConfidence{"confidence", F64, "0.95", "interval confidence"};
+constexpr Opt kMetricsEvery{"metrics-every", U32, "32",
+                            "farm worker 'M' frame every N injections"};
+constexpr Opt kConnect{"connect", Str, "", "daemon unix:PATH or tcp:HOST:PORT",
+                       kReq};
+
+const Opts kTestcase = {
+    {"testcase-seed", U64, "2026", "AVP workload seed", kFwd},
+    {"instructions", U32, "160", "AVP testcase length", kFwd}};
+/// The campaign-defining options besides the testcase, seed and n.
+const Opts kDefining = {
+    {"unit", Str, "", "one unit only: IFU..RUT or Core", kFwd},
+    {"type", Str, "", "one latch type only: FUNC/REGFILE/MODE/GPTR", kFwd},
+    kRaw, kSticky, kCkptInterval, kCkptMem, kEngine, kLanes,
+    {"footprint", Flag, "", "store propagation footprints", kFwd},
+    {"footprint-sample", U32, "32", "also trace every Nth Vanished", kFwd},
+    {"footprint-window", U64, "512", "cycles traced after benign flips", kFwd},
+    {"footprint-every-cycle", Flag, "",
+     "footprints diffed every cycle (implies --footprint)", kFwd}};
+const Opts kTelemetry = {
+    {"metrics-out", Str, "", "write the metrics registry as JSON"},
+    {"events-out", Str, "", "stream a JSONL event log"},
+    {"chrome-trace", Str, "", "write the span plane as Chrome-trace JSON"},
+    {"telemetry-sample", U32, "1", "log every Nth injection event"},
+    {"progress", Flag, "", "live progress line on stderr"}};
+const Opts kStoreOpts = {
+    {"out", Str, "", "durable campaign store FILE.sfr"},
+    {"resume", Flag, "", "continue an interrupted --out campaign"},
+    {"shard-size", U32, "64", "injections per shard"}};
+const Opts kFlushOpts = {
+    {"flush", U32, "32", "records buffered between store flushes"},
+    {"max-new", U64, "0", "stop after N new injections (0: no limit)"}};
+const Opts kFarmOpts = {
+    {"workers", U32, "2", "supervised local worker processes"},
+    {"farm", Str, "", "hosts file of `sfi worker`s: `host [slots]`"},
+    {"watchdog", U64, "30", "kill a worker silent for N seconds"},
+    {"strikes", U32, "3", "tries before an injection is HarnessFatal"},
+    {"keep-shards", Flag, "", "keep worker shard files"}};
+/// What the farm itself passes to every worker.
+const Opts kWorkerHooks = {
+    kMetricsEvery,
+    {"trace-spans", Flag, "", "record spans for `sfi trace`", kPlain,
+     "for a single-process timeline use --chrome-trace FILE.json"},
+    {"sabotage-crash", U32, "", "test hook: a worker dies at index N"},
+    {"sabotage-wedge", U32, "", "test hook: a worker hangs at index N"},
+    {"sabotage-wedge-once", Flag, "", "test hook: hang on attempt 0 only"}};
+
+Opts operator+(Opts a, const Opts& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
 }
 
+/// `opts`, applying only in the verb modes set in `modes`.
+Opts only(u8 modes, Opts opts) {
+  for (Opt& o : opts) o.modes = modes;
+  return opts;
+}
+
+const Opt* find_opt(const Opts& opts, std::string_view name) {
+  const auto it = std::ranges::find(opts, name, &Opt::name);
+  return it == opts.end() ? nullptr : &*it;
+}
+
+// --- verbs and parsing ------------------------------------------------------
+
+struct Args;
+
+struct Verb {
+  std::string_view name, summary;
+  int (*run)(const Args&);
+  Opts opts;
+  bool positionals = false;  ///< otherwise a stray argument is an error
+  /// Phrases for the modes options can be limited to ("farm campaigns
+  /// (...)"); mode_of picks the current one.
+  std::vector<std::string_view> modes = {};
+  std::size_t (*mode_of)(const Args&) = nullptr;
+};
+
+/// A verb's parsed command line: the given options (numbers checked while
+/// parsing) and positional arguments. Reading an option the verb does not
+/// declare is a programming error (std::logic_error).
 struct Args {
-  std::string command;
-  std::map<std::string, std::string> opts;
-  std::set<std::string> flags;
+  const Verb& verb;
+  std::map<std::string_view, std::string, std::less<>> values;  ///< given
   std::vector<std::string> positional;
 
-  [[nodiscard]] u64 num(const std::string& key, u64 dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt : parse_u64(key, it->second);
+  [[nodiscard]] const Opt& decl(std::string_view key) const {
+    if (const Opt* o = find_opt(verb.opts, key)) return *o;
+    throw std::logic_error("sfi " + std::string(verb.name) +
+                           " reads undeclared option --" + std::string(key));
   }
-  /// num() for options that land in a u32 destination: values above 2^32-1
-  /// are a usage error, not a silent wrap (--n 4294967297 used to become 1).
-  [[nodiscard]] u32 num_u32(const std::string& key, u32 dflt) const {
-    const u64 v = num(key, dflt);
-    if (v > std::numeric_limits<u32>::max()) {
-      throw CliError("invalid value for --" + key + ": '" +
-                     opts.at(key) + "' (exceeds the 32-bit range)");
-    }
-    return static_cast<u32>(v);
+  [[nodiscard]] bool given(std::string_view key) const {
+    (void)decl(key);
+    return values.contains(key);
   }
-  [[nodiscard]] double fnum(const std::string& key, double dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt : parse_f64(key, it->second);
+  /// The given value, else the default; nullopt when there is neither.
+  [[nodiscard]] std::optional<std::string> str(std::string_view key) const {
+    const Opt& o = decl(key);
+    if (const auto it = values.find(key); it != values.end()) return it->second;
+    if (o.dflt.empty()) return std::nullopt;
+    return std::string(o.dflt);
   }
-  [[nodiscard]] std::optional<std::string> str(const std::string& key) const {
-    const auto it = opts.find(key);
-    if (it == opts.end()) return std::nullopt;
-    return it->second;
+  /// U64 or U32 (range-checked while parsing) value.
+  [[nodiscard]] u64 num(std::string_view key) const {
+    const auto v = str(key);
+    if (!v) throw std::logic_error("--" + std::string(key) + " has no value");
+    return parse_u64(std::string(key), *v);
   }
-  [[nodiscard]] bool flag(const std::string& key) const {
-    return flags.count(key) != 0;
+  [[nodiscard]] double real(std::string_view key) const {
+    return parse_f64(std::string(key), str(key).value());
   }
 };
 
-int usage() {
-  std::cout <<
-      R"(usage: sfi <command> [options]
-commands:
-  inventory   latch/array population report
-  campaign    run a statistical fault-injection campaign
-              (--out FILE.sfr streams records to a durable store; --resume
-               continues an interrupted one exactly; --workers N / --farm
-               HOSTS.txt run it on supervised worker processes)
-  worker      farm worker process (spawned by campaign --farm; reads
-              shard assignments on stdin, answers via --shard-store)
-  report      regenerate campaign tables from a store (--from FILE.sfr),
-              no re-simulation
-  explain     fault-propagation forensics from a store's footprints
-              (--from FILE.sfr [--json FILE] [--csv FILE]; needs a campaign
-               run with --footprint)
-  merge       merge store shards: sfi merge --out MERGED.sfr SHARD...
-  beam        run a simulated proton-beam exposure
-  trace       trace one injected fault from cause to effect (--latch), or
-              stitch a campaign's distributed span plane into one Perfetto
-              timeline (sfi trace STORE.sfr [--out trace.json])
-  mix         AVP instruction mix and CPI report
-  derate      derating factors & chip FIT budget from a campaign
-  serve       multi-tenant campaign daemon with adaptive early stop
-              (--state-dir DIR [--listen unix:PATH|tcp:HOST:PORT]
-               [--max-active N]); campaigns stop as soon as every stratum's
-              Wilson interval is under the submitted half-width target
-  submit      submit a campaign to a daemon (--connect ADDR [--tenant T]
-              [--n N] [--confidence C] [--half-width W] [--stratify-unit]
-              [--workers N] [--engine scalar|lanes] [--lanes N] [--wait])
-  status      one-line-per-campaign daemon status (--connect ADDR [--json])
-  watch       stream a campaign's JSONL event log (--connect ADDR --id N)
-  shutdown    ask a daemon to stop (running campaigns stay resumable)
-  top         live refreshing per-campaign table over the daemon's HTTP
-              plane (--http ADDR [--interval SECS] [--once]); the same
-              endpoint Prometheus scrapes at /metrics
-telemetry (campaign/beam): --metrics-out FILE, --events-out FILE.jsonl,
-  --chrome-trace FILE.json (span-plane timeline: shard and exemplar-sampled
-  injection slices per worker), --telemetry-sample N (event-log records
-  only), --progress; farm campaigns also --trace-spans
-run `head -60 tools/sfi_cli.cpp` for the full option list.
-)";
-  return 2;
+/// "--X is for <the modes of `v` it applies in>[; hint]".
+std::string mode_error(const Verb& v, const Opt& o) {
+  std::string s = "--" + std::string(o.name) + " is for ";
+  for (std::size_t m = 0; m < v.modes.size(); ++m) {
+    if ((o.modes >> m & 1u) != 0) s += std::string(v.modes[m]) + " and ";
+  }
+  s.resize(s.size() - 5);
+  return o.hint.empty() ? s : s + "; " + std::string(o.hint);
 }
 
-Args parse(int argc, char** argv) {
-  Args a;
-  if (argc < 2) return a;
-  a.command = argv[1];
+std::string option_list(const Verb& v) {
+  std::string s = "usage: sfi " + std::string(v.name) + " [options]";
+  for (const Opt& o : v.opts) {
+    std::string line = "\n  --" + std::string(o.name) +
+                       (o.kind == Flag ? "" : o.kind == Str ? " ARG" : " N");
+    line.resize(std::max<std::size_t>(line.size() + 1, 30), ' ');
+    line += o.help;
+    if (!o.dflt.empty()) line += " (default " + std::string(o.dflt) + ")";
+    if (o.role == kReq) line += " (required)";
+    s += line;
+  }
+  return s;
+}
+
+const std::vector<Verb>& verbs();
+
+/// Parses argv[2..] against `verb`'s table. Unknown options, stray
+/// arguments, malformed numbers, missing required options and options
+/// outside the current mode are usage errors.
+Args parse(const Verb& verb, int argc, char** argv) {
+  Args a{verb, {}, {}};
+  const auto usage_error = [&](const std::string& what) {
+    return CliError(std::string(verb.name) + ": " + what + "\n" +
+                    option_list(verb));
+  };
   for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      a.positional.push_back(key);
+    const std::string tok = argv[i];
+    if (!tok.starts_with("--")) {
+      if (!verb.positionals) {
+        throw usage_error("unexpected argument '" + tok + "'");
+      }
+      a.positional.push_back(tok);
       continue;
     }
-    key = key.substr(2);
-    if (flag_options().count(key) != 0) {
-      a.flags.insert(key);
-    } else if (i + 1 < argc) {
-      a.opts[key] = argv[++i];
-    } else {
-      throw CliError("option --" + key + " expects a value");
+    const std::string key = tok.substr(2);
+    const Opt* o = find_opt(verb.opts, key);
+    if (o == nullptr) {
+      // An option another verb limits to some of its modes, with a hint,
+      // says where it belongs.
+      for (const Verb& w : verbs()) {
+        const Opt* there = find_opt(w.opts, key);
+        if (there && !there->hint.empty() && !w.modes.empty()) {
+          throw usage_error("unknown option " + tok + "; " +
+                            mode_error(w, *there));
+        }
+      }
+      throw usage_error("unknown option " + tok);
+    }
+    if (o->kind != Flag && i + 1 == argc) {
+      throw CliError("option " + tok + " expects a value");
+    }
+    const std::string value = o->kind == Flag ? "" : argv[++i];
+    if (o->kind == U32 && parse_u64(key, value) > ~u32{0}) {
+      throw CliError("invalid value for " + tok + ": '" + value +
+                     "' (exceeds the 32-bit range)");
+    }
+    if (o->kind == U64) (void)parse_u64(key, value);
+    if (o->kind == F64) (void)parse_f64(key, value);
+    a.values[o->name] = value;
+  }
+  const std::size_t mode = verb.mode_of ? verb.mode_of(a) : 0;
+  for (const Opt& o : verb.opts) {
+    if (o.role == kReq && !a.given(o.name)) {
+      throw usage_error("--" + std::string(o.name) + " is required");
+    }
+    if (a.given(o.name) && (o.modes >> mode & 1u) == 0) {
+      throw CliError(std::string(verb.name) + ": " + mode_error(verb, o));
     }
   }
   return a;
@@ -382,43 +330,35 @@ Args parse(int argc, char** argv) {
 
 avp::Testcase make_testcase(const Args& a) {
   avp::TestcaseConfig cfg;
-  cfg.seed = a.num("testcase-seed", 2026);
-  cfg.num_instructions = a.num_u32("instructions", 160);
+  cfg.seed = a.num("testcase-seed");
+  cfg.num_instructions = a.num("instructions");
   return avp::generate_testcase(cfg);
 }
 
-std::optional<netlist::Unit> parse_unit(const std::string& s) {
-  for (const auto u : netlist::kAllUnits) {
-    if (s == to_string(u)) return u;
-  }
-  return std::nullopt;
-}
-
-std::optional<netlist::LatchType> parse_type(const std::string& s) {
-  for (const auto t : netlist::kAllLatchTypes) {
-    if (s == to_string(t)) return t;
+/// The member of `all` (netlist::kAllUnits, kAllLatchTypes) named `s`.
+template <class List>
+std::optional<typename List::value_type> parse_name(const List& all,
+                                                    const std::string& s) {
+  for (const auto v : all) {
+    if (s == to_string(v)) return v;
   }
   return std::nullopt;
 }
 
 /// Confidence level for every interval a command prints (default 95%).
 double confidence_from(const Args& a) {
-  const double c = a.fnum("confidence", stats::kDefaultConfidence);
+  const double c = a.real("confidence");
   if (!(c > 0.0 && c < 1.0)) {
     throw CliError("--confidence must be in (0,1)");
   }
   return c;
 }
 
-std::string ci_label(double confidence) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g%% CI", confidence * 100.0);
-  return buf;
-}
-
 void print_outcomes(const inject::OutcomeCounts& counts, double confidence) {
   const double z = stats::z_for_confidence(confidence);
-  report::Table t({"outcome", "count", "fraction", ci_label(confidence)});
+  char ci_label[32];
+  std::snprintf(ci_label, sizeof ci_label, "%g%% CI", confidence * 100.0);
+  report::Table t({"outcome", "count", "fraction", ci_label});
   for (const auto o : inject::kAllOutcomes) {
     const auto iv = counts.interval(o, z);
     t.add_row({std::string(to_string(o)), report::Table::count(counts.of(o)),
@@ -429,7 +369,12 @@ void print_outcomes(const inject::OutcomeCounts& counts, double confidence) {
   std::cout << t.to_string();
 }
 
-void print_unit_table(const inject::CampaignAggregate& agg) {
+/// The tables every campaign view shares — live run, scheduled run, and
+/// store replay print through this one path, which is what makes
+/// `sfi report --from` reproduce the live tables exactly.
+void print_campaign_tables(const inject::CampaignAggregate& agg,
+                           double confidence) {
+  print_outcomes(agg.counts, confidence);
   std::cout << report::section("by unit");
   report::Table t({"unit", "flips", "vanished", "corrected", "severe"});
   for (const auto u : netlist::kAllUnits) {
@@ -445,60 +390,44 @@ void print_unit_table(const inject::CampaignAggregate& agg) {
   std::cout << t.to_string();
 }
 
-/// The tables every campaign view shares — live run, scheduled run, and
-/// store replay print through this one path, which is what makes
-/// `sfi report --from` reproduce the live tables exactly.
-void print_campaign_tables(const inject::CampaignAggregate& agg,
-                           double confidence) {
-  print_outcomes(agg.counts, confidence);
-  print_unit_table(agg);
-}
-
 /// Campaign throughput summary: wall time, simulation rate, and what the
 /// interval-checkpoint store bought (cycles never replayed).
-void print_throughput(double wall_seconds, u64 cycles_evaluated,
-                      u64 cycles_fast_forwarded, u64 checkpoint_ops,
-                      std::size_t checkpoints, u64 checkpoint_bytes) {
-  const double rate = wall_seconds > 0.0
-                          ? static_cast<double>(cycles_evaluated) / wall_seconds
-                          : 0.0;
-  std::cout << "throughput: " << report::Table::num(wall_seconds, 2)
-            << " s wall; " << cycles_evaluated << " cycles evaluated ("
+template <class Result>
+void print_throughput(const Result& r) {
+  const double rate =
+      r.wall_seconds > 0.0
+          ? static_cast<double>(r.cycles_evaluated) / r.wall_seconds
+          : 0.0;
+  std::cout << "throughput: " << report::Table::num(r.wall_seconds, 2)
+            << " s wall; " << r.cycles_evaluated << " cycles evaluated ("
             << report::Table::num(rate, 0) << " cycles/s); "
-            << cycles_fast_forwarded << " cycles fast-forwarded; "
-            << checkpoints << " checkpoints ("
-            << report::Table::num(
-                   static_cast<double>(checkpoint_bytes) / (1024.0 * 1024.0),
-                   2)
-            << " MiB resident; " << checkpoint_ops << " checkpoint ops)\n";
+            << r.cycles_fast_forwarded << " cycles fast-forwarded; "
+            << r.checkpoints << " checkpoints ("
+            << report::Table::num(static_cast<double>(r.checkpoint_bytes) /
+                                      (1024.0 * 1024.0),
+                                  2)
+            << " MiB resident; " << r.checkpoint_ops << " checkpoint ops)\n";
 }
 
-int cmd_inventory() {
+int cmd_inventory(const Args&) {
   core::Pearl6Model model;
   const auto& reg = model.registry();
 
   std::cout << report::section("latch inventory");
-  report::Table by_unit({"unit", "latch bits", "share"});
-  const auto units = reg.latch_count_by_unit();
-  for (const auto u : netlist::kAllUnits) {
-    const auto idx = static_cast<std::size_t>(u);
-    by_unit.add_row({std::string(to_string(u)),
-                     report::Table::count(units[idx]),
-                     report::Table::pct(static_cast<double>(units[idx]) /
-                                        reg.num_latches())});
-  }
-  std::cout << by_unit.to_string() << "\n";
-
-  report::Table by_type({"latch type", "latch bits", "share"});
-  const auto types = reg.latch_count_by_type();
-  for (const auto t : netlist::kAllLatchTypes) {
-    const auto idx = static_cast<std::size_t>(t);
-    by_type.add_row({std::string(to_string(t)),
-                     report::Table::count(types[idx]),
-                     report::Table::pct(static_cast<double>(types[idx]) /
-                                        reg.num_latches())});
-  }
-  std::cout << by_type.to_string() << "\n";
+  const auto share_table = [&](const char* label, const auto& all,
+                               const auto& counts) {
+    report::Table t({label, "latch bits", "share"});
+    for (const auto v : all) {
+      const u64 n = counts[static_cast<std::size_t>(v)];
+      t.add_row({std::string(to_string(v)), report::Table::count(n),
+                 report::Table::pct(static_cast<double>(n) /
+                                    reg.num_latches())});
+    }
+    std::cout << t.to_string() << "\n";
+  };
+  share_table("unit", netlist::kAllUnits, reg.latch_count_by_unit());
+  share_table("latch type", netlist::kAllLatchTypes,
+              reg.latch_count_by_type());
 
   std::cout << "total injectable latch bits: " << reg.num_latches() << " in "
             << reg.num_fields() << " named fields\n";
@@ -510,95 +439,91 @@ int cmd_inventory() {
   return 0;
 }
 
-/// Telemetry sinks requested on the command line. Owns the facade; wire
-/// `sinks.tel.get()` into the config, run, then call `write_outputs()`.
-struct TelemetrySinks {
-  std::unique_ptr<inject::CampaignTelemetry> tel;
-  std::optional<std::string> metrics_out;
-  std::optional<std::string> trace_out;
-  bool progress = false;
+using Telemetry = std::unique_ptr<inject::CampaignTelemetry>;
 
-  [[nodiscard]] inject::CampaignTelemetry* get() const { return tel.get(); }
-
-  void write_outputs() const {
-    if (!tel) return;
-    if (metrics_out) {
-      tel->write_metrics(*metrics_out);
-      std::cout << "metrics: " << *metrics_out << "\n";
-    }
-    if (trace_out) {
-      tel->write_chrome_trace(*trace_out);
-      std::cout << "chrome trace: " << *trace_out
-                << " (load in chrome://tracing or Perfetto)\n";
-    }
-  }
-};
-
+/// The telemetry facade the command line asks for (null when none).
 /// `process` labels this process's row in the --chrome-trace timeline.
-TelemetrySinks make_telemetry(const Args& a, std::string process) {
-  TelemetrySinks s;
-  s.metrics_out = a.str("metrics-out");
-  s.trace_out = a.str("chrome-trace");
-  s.progress = a.flag("progress");
-  const auto events_out = a.str("events-out");
-  // Parse before the early return: a malformed value must error even when
-  // no sink is enabled.
-  const auto sample = a.num_u32("telemetry-sample", 1);
-  // --postmortem implies a telemetry facade: the flight-recorder ring only
-  // holds lines the telemetry layer emits, so without one the dump would
-  // always be empty.
-  const bool postmortem = a.str("postmortem").has_value();
-  // --trace-spans needs the facade too: the span plane hangs off
-  // CampaignTelemetry (the farm coordinator enables it there).
-  const bool trace_spans = a.flag("trace-spans");
-  if (!s.metrics_out && !s.trace_out && !events_out && !s.progress &&
-      !postmortem && !trace_spans) {
-    return s;
+/// `needed` forces the facade without a sink of its own: the flight
+/// recorder (--postmortem) only holds lines the telemetry layer emits, and
+/// the farm's span plane (--trace-spans) hangs off it.
+Telemetry make_telemetry(const Args& a, std::string process,
+                         bool needed = false) {
+  if (!needed && !a.given("metrics-out") && !a.given("chrome-trace") &&
+      !a.given("events-out") && !a.given("progress")) {
+    return nullptr;
   }
-  s.tel = std::make_unique<inject::CampaignTelemetry>(
-      inject::TelemetryConfig{.event_sample = sample});
-  if (events_out) s.tel->open_event_log(*events_out);
-  if (s.trace_out) s.tel->enable_span_plane(std::move(process), 0);
-  return s;
+  auto tel = std::make_unique<inject::CampaignTelemetry>(
+      inject::TelemetryConfig{
+          .event_sample = static_cast<u32>(a.num("telemetry-sample"))});
+  if (const auto events = a.str("events-out")) tel->open_event_log(*events);
+  if (a.given("chrome-trace")) tel->enable_span_plane(std::move(process), 0);
+  return tel;
 }
 
-inject::CampaignConfig campaign_config(const Args& a, u32 default_n) {
+/// The --progress line once an in-memory run of `n` records is done.
+void print_final_progress(const Args& a, const Telemetry& tel,
+                          const char* tag, u64 n, double wall_seconds) {
+  if (a.given("progress")) {
+    std::cerr << tag << tel->progress_line(n, n, n, wall_seconds) << "\n";
+  }
+}
+
+/// Writes the --metrics-out and --chrome-trace files at the end of a run.
+void write_telemetry(const Args& a, const Telemetry& tel) {
+  if (!tel) return;
+  if (const auto path = a.str("metrics-out")) {
+    tel->write_metrics(*path);
+    std::cout << "metrics: " << *path << "\n";
+  }
+  if (const auto path = a.str("chrome-trace")) {
+    tel->write_chrome_trace(*path);
+    std::cout << "chrome trace: " << *path
+              << " (load in chrome://tracing or Perfetto)\n";
+  }
+}
+
+inject::EngineKind engine_from(const Args& a) {
+  const std::string e = *a.str("engine");
+  const auto kind = inject::parse_engine(e);
+  if (!kind) {
+    throw CliError("unknown engine '" + e + "' (expected scalar or lanes)");
+  }
+  return *kind;
+}
+
+/// The campaign-defining options (the ones exec-mode workers receive).
+inject::CampaignConfig campaign_config(const Args& a) {
   inject::CampaignConfig cfg;
-  cfg.seed = a.num("seed", 42);
-  cfg.num_injections = a.num_u32("n", default_n);
-  cfg.threads = a.num_u32("threads", 0);
-  cfg.core.checkers_enabled = !a.flag("raw");
-  cfg.ckpt_interval = a.num("ckpt-interval", emu::kCkptAuto);
-  cfg.ckpt_memory_budget = a.num("ckpt-mem", 64) << 20;
-  if (const auto d = a.num("sticky", 0); d != 0) {
+  cfg.seed = a.num("seed");
+  cfg.num_injections = a.num("n");
+  cfg.core.checkers_enabled = !a.given("raw");
+  if (a.given("ckpt-interval")) cfg.ckpt_interval = a.num("ckpt-interval");
+  cfg.ckpt_memory_budget = a.num("ckpt-mem") << 20;
+  if (const auto d = a.num("sticky"); d != 0) {
     cfg.mode = inject::FaultMode::Sticky;
     cfg.sticky_duration = d;
   }
   cfg.footprint.enabled =
-      a.flag("footprint") || a.flag("footprint-every-cycle");
-  cfg.footprint.vanished_sample =
-      a.num_u32("footprint-sample", 32);
-  cfg.footprint.max_trace_cycles = a.num("footprint-window", 512);
-  if (a.flag("footprint-every-cycle")) {
+      a.given("footprint") || a.given("footprint-every-cycle");
+  cfg.footprint.vanished_sample = a.num("footprint-sample");
+  cfg.footprint.max_trace_cycles = a.num("footprint-window");
+  if (a.given("footprint-every-cycle")) {
     cfg.footprint.sampling = inject::FootprintSampling::EveryCycle;
   }
-  if (const auto e = a.str("engine")) {
-    const auto kind = inject::parse_engine(*e);
-    if (!kind) {
-      throw CliError("unknown engine '" + *e + "' (expected scalar or lanes)");
-    }
-    cfg.engine = *kind;
-  }
-  cfg.lanes = a.num_u32("lanes", cfg.lanes);
+  cfg.engine = engine_from(a);
+  cfg.lanes = a.num("lanes");
   if (cfg.lanes == 0) throw CliError("--lanes must be >= 1");
-  if (const auto u = a.str("unit")) {
-    const auto unit = parse_unit(*u);
+  const auto u = a.str("unit");
+  const auto t = a.str("type");
+  if (u && t) throw CliError("--unit and --type are exclusive");
+  if (u) {
+    const auto unit = parse_name(netlist::kAllUnits, *u);
     if (!unit) throw CliError("unknown unit " + *u);
     cfg.filter = [unit](const netlist::LatchMeta& m) {
       return m.unit == *unit;
     };
-  } else if (const auto t = a.str("type")) {
-    const auto type = parse_type(*t);
+  } else if (t) {
+    const auto type = parse_name(netlist::kAllLatchTypes, *t);
     if (!type) throw CliError("unknown latch type " + *t);
     cfg.filter = [type](const netlist::LatchMeta& m) {
       return m.type == *type;
@@ -622,9 +547,11 @@ extern "C" void on_stop_signal(int sig) {
   g_stop_requested = 1;
 }
 
-void install_stop_handler() {
+/// Installs the handler; returns the stop predicate it feeds.
+std::function<bool()> install_stop_handler() {
   std::signal(SIGINT, on_stop_signal);
   std::signal(SIGTERM, on_stop_signal);
+  return [] { return g_stop_requested != 0; };
 }
 
 /// " (N inj/s, ETA Ns)" for live progress lines, from the clamped
@@ -642,121 +569,108 @@ std::string progress_rate_suffix(const sched::Progress& p) {
   return buf;
 }
 
-void print_resume_hint(const std::string& out) {
-  std::cout << "interrupted — committed records are durable; finish with:\n"
-            << "  sfi campaign --out " << out
-            << " --resume [same campaign options]\n";
+/// Live progress of a durable campaign on stderr: the telemetry line with
+/// --progress, else done/total `counted` injections with rate and ETA.
+std::function<void(const sched::Progress&)> progress_printer(
+    const Args& a, const Telemetry& telemetry, std::string tag,
+    std::string counted) {
+  inject::CampaignTelemetry* tel =
+      a.given("progress") ? telemetry.get() : nullptr;
+  return [=](const sched::Progress& p) {
+    std::cerr << "\r" << tag;
+    if (tel != nullptr) {
+      std::cerr << tel->progress_line(p.done, p.total, p.executed,
+                                      p.wall_seconds);
+    } else {
+      std::cerr << p.done << "/" << p.total << " injections " << counted
+                << progress_rate_suffix(p);
+    }
+    std::cerr << std::flush;
+  };
 }
 
-/// --postmortem FILE: enable the global crash flight recorder (telemetry
-/// lines tee into a fixed in-memory ring) and arm fatal-signal dumps to
-/// FILE. Returns the path, empty when not requested. Observability-only.
-std::string postmortem_from_args(const Args& a) {
-  const auto path = a.str("postmortem");
-  if (!path) return "";
-  telemetry::FlightRecorder::global().enable(2048);
-  telemetry::FlightRecorder::arm_signals(*path);
-  return *path;
+void print_store_line(const std::string& out, bool complete, u64 executed,
+                      u64 resumed) {
+  std::cout << "store: " << out << " ("
+            << (complete ? "complete" : "INCOMPLETE — finish with --resume")
+            << "); " << executed << " executed this run, " << resumed
+            << " resumed";
+}
+
+void print_workload(u64 instructions, u64 cycles, u64 population,
+                    double injections_per_second) {
+  std::cout << "workload: " << instructions << " instructions / " << cycles
+            << " cycles; population " << population << " latches; "
+            << report::Table::num(injections_per_second, 0)
+            << " injections/s\n";
+}
+
+/// What every campaign mode ends with: the sink outputs, the shared tables
+/// and, for an interrupted durable run, the --resume hint (exit 130).
+int finish_campaign(const Args& a, const Telemetry& tel,
+                    const inject::CampaignAggregate& agg, bool stopped) {
+  write_telemetry(a, tel);
+  std::cout << "\n";
+  print_campaign_tables(agg, confidence_from(a));
+  if (!stopped) return 0;
+  std::cout << "interrupted — committed records are durable; finish with:\n"
+            << "  sfi campaign --out " << *a.str("out")
+            << " --resume [same campaign options]\n";
+  return 130;
 }
 
 farm::SabotageConfig sabotage_from_args(const Args& a) {
   farm::SabotageConfig s;
-  if (a.opts.count("sabotage-crash") != 0) {
-    s.crash_index = a.num_u32("sabotage-crash", 0);
-  }
-  if (a.opts.count("sabotage-wedge") != 0) {
-    s.wedge_index = a.num_u32("sabotage-wedge", 0);
-  }
-  s.wedge_once = a.flag("sabotage-wedge-once");
+  if (a.given("sabotage-crash")) s.crash_index = a.num("sabotage-crash");
+  if (a.given("sabotage-wedge")) s.wedge_index = a.num("sabotage-wedge");
+  s.wedge_once = a.given("sabotage-wedge-once");
   return s;
-}
-
-/// Rebuild the campaign-defining flags for an exec-mode worker command line.
-/// Whitelisted: everything that feeds make_testcase/campaign_config (plus the
-/// sabotage hooks, which are attempt-gated and so safe on every worker);
-/// coordinator-only options (--out, --workers, telemetry sinks, ...) and
-/// --threads (workers are single-threaded by construction) stay behind.
-std::vector<std::string> worker_command_from_args(const Args& a) {
-  static const std::set<std::string> keep = {
-      "seed",          "testcase-seed",    "instructions",
-      "n",             "unit",             "type",
-      "sticky",        "ckpt-interval",    "ckpt-mem",
-      "footprint-sample", "footprint-window",
-      "engine",        "lanes",
-      "sabotage-crash", "sabotage-wedge",  "metrics-every"};
-  static const std::set<std::string> keep_flags = {
-      "raw", "footprint", "footprint-every-cycle", "sabotage-wedge-once"};
-  std::vector<std::string> cmd = {farm::self_exe(), "worker"};
-  for (const auto& [key, value] : a.opts) {
-    if (keep.count(key) == 0) continue;
-    cmd.push_back("--" + key);
-    cmd.push_back(value);
-  }
-  for (const auto& flag : a.flags) {
-    if (keep_flags.count(flag) != 0) cmd.push_back("--" + flag);
-  }
-  return cmd;
 }
 
 /// Farm campaign: supervised multi-process execution into per-worker shard
 /// stores, merged byte-identically into `out`.
 int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
                       const inject::CampaignConfig& cfg,
-                      const std::string& out, const TelemetrySinks& sinks) {
+                      const std::string& out, const Telemetry& tel) {
   farm::FarmConfig fc;
-  fc.workers = a.num_u32("workers", 2);
-  // Fleet metrics on by default (cadence 32), matching `sfi serve`: the
-  // coordinator's progress line and any scraper get the same fleet view a
-  // daemon campaign would. 'M' frames are merge-dropped, so the canonical
-  // store is byte-identical either way.
-  fc.metrics_every = a.num_u32("metrics-every", 32);
+  fc.workers = a.num("workers");
+  // Fleet metrics on by default, matching `sfi serve`: the coordinator's
+  // progress line and any scraper get the same fleet view a daemon campaign
+  // would. 'M' frames are merge-dropped, so the canonical store is
+  // byte-identical either way.
+  fc.metrics_every = a.num("metrics-every");
   if (const auto hosts = a.str("farm")) {
+    if (a.given("workers")) {
+      throw CliError("--workers and --farm are exclusive (the hosts file "
+                     "sets the worker count)");
+    }
     fc.hosts = farm::parse_hosts_file(*hosts);
-    fc.worker_command = worker_command_from_args(a);
-    if (a.opts.count("metrics-every") == 0 && fc.metrics_every > 0) {
-      // The whitelist only forwards flags the user typed; the default
-      // cadence has to reach exec workers explicitly.
-      fc.worker_command.push_back("--metrics-every");
-      fc.worker_command.push_back(std::to_string(fc.metrics_every));
+    fc.worker_command = {farm::self_exe(), "worker"};
+    for (const Opt& o : a.verb.opts) {
+      if (o.role != kFwd || !a.given(o.name)) continue;
+      fc.worker_command.push_back("--" + std::string(o.name));
+      if (o.kind != Flag) fc.worker_command.push_back(a.values.at(o.name));
     }
   }
-  fc.shard_size = a.num_u32("shard-size", 64);
-  fc.max_strikes = a.num_u32("strikes", 3);
-  fc.watchdog_seconds = static_cast<double>(a.num("watchdog", 30));
+  fc.shard_size = a.num("shard-size");
+  fc.max_strikes = a.num("strikes");
+  fc.watchdog_seconds = static_cast<double>(a.num("watchdog"));
   fc.sabotage = sabotage_from_args(a);
-  fc.keep_shards = a.flag("keep-shards");
+  fc.keep_shards = a.given("keep-shards");
   // The coordinator renders --chrome-trace from its own book plus the worker
   // spans it retains from delivered 'S' frames, so workers must record them.
-  fc.trace_spans = a.flag("trace-spans") || sinks.trace_out.has_value();
-  fc.postmortem_path = postmortem_from_args(a);
-  install_stop_handler();
-  fc.should_stop = [] { return g_stop_requested != 0; };
-  if (sinks.progress && sinks.tel) {
-    inject::CampaignTelemetry* tel = sinks.get();
-    fc.on_progress = [tel](const sched::Progress& p) {
-      std::cerr << "\r[farm] "
-                << tel->progress_line(p.done, p.total, p.executed,
-                                      p.wall_seconds)
-                << std::flush;
-    };
-  } else {
-    fc.on_progress = [](const sched::Progress& p) {
-      std::cerr << "\r[farm] " << p.done << "/" << p.total
-                << " injections committed" << progress_rate_suffix(p)
-                << std::flush;
-    };
-  }
+  fc.trace_spans = a.given("trace-spans") || a.given("chrome-trace");
+  fc.postmortem_path = a.str("postmortem").value_or("");
+  fc.should_stop = install_stop_handler();
+  fc.on_progress = progress_printer(a, tel, "[farm] ", "committed");
 
   const farm::FarmResult r =
-      farm::run_farm_campaign(tc, cfg, out, fc, a.flag("resume"));
+      farm::run_farm_campaign(tc, cfg, out, fc, a.given("resume"));
   std::cerr << "\n";
 
   std::cout << report::section("farm campaign result");
-  std::cout << "store: " << out << " ("
-            << (r.complete ? "complete" : "INCOMPLETE — finish with --resume")
-            << "); " << r.executed << " executed this run, " << r.resumed
-            << " resumed\n";
-  std::cout << "farm: " << r.workers_spawned << " worker(s) spawned, "
+  print_store_line(out, r.complete, r.executed, r.resumed);
+  std::cout << "\nfarm: " << r.workers_spawned << " worker(s) spawned, "
             << r.assignments << " assignment(s), " << r.worker_crashes
             << " crash(es), " << r.watchdog_kills << " watchdog kill(s), "
             << r.shard_retries << " shard retr" << (r.shard_retries == 1 ? "y" : "ies")
@@ -773,40 +687,23 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
     std::cout << "trace sidecar: " << base
               << ".trace.sfr (stitch with `sfi trace " << out << "`)\n";
   }
-  std::cout << "workload: " << r.meta.workload_instructions
-            << " instructions / " << r.meta.workload_cycles
-            << " cycles; population " << r.meta.population_size
-            << " latches; "
-            << report::Table::num(r.injections_per_second(), 0)
-            << " injections/s\n";
-  sinks.write_outputs();
-  std::cout << "\n";
-  print_campaign_tables(r.agg, confidence_from(a));
-  if (r.stopped) {
-    print_resume_hint(out);
-    return 130;
-  }
-  return 0;
+  print_workload(r.meta.workload_instructions, r.meta.workload_cycles,
+                 r.meta.population_size, r.injections_per_second());
+  return finish_campaign(a, tel, r.agg, r.stopped);
 }
 
 /// Farm worker process: `sfi worker --shard-store FILE [--worker-id N]`.
-/// Campaign flags mirror the coordinator's so both build the same plan.
+/// Its table is the coordinator's forwarded options plus the ones the farm
+/// appends, so both build the same plan.
 int cmd_worker(const Args& a) {
-  const auto shard = a.str("shard-store");
-  if (!shard) throw CliError("worker requires --shard-store FILE.sfr");
   const avp::Testcase tc = make_testcase(a);
-  const inject::CampaignConfig cfg = campaign_config(a, 1000);
+  const inject::CampaignConfig cfg = campaign_config(a);
   farm::WorkerOptions wo;
-  wo.worker_id = a.num_u32("worker-id", 0);
-  wo.shard_path = *shard;
-  wo.control_fd = 0;  // assignments arrive on stdin
+  wo.worker_id = a.num("worker-id");
+  wo.shard_path = *a.str("shard-store");
   wo.sabotage = sabotage_from_args(a);
-  // Same default cadence as the farm coordinator and `sfi serve` (32): a
-  // worker launched without the flag used to silently disable snapshots,
-  // starving the coordinator's fleet metrics view of exec-spawned workers.
-  wo.metrics_every =
-      a.num_u32("metrics-every", farm::WorkerOptions{}.metrics_every);
-  wo.trace_spans = a.flag("trace-spans");
+  wo.metrics_every = a.num("metrics-every");
+  wo.trace_spans = a.given("trace-spans");
   return farm::run_worker(tc, cfg, wo);
 }
 
@@ -814,121 +711,76 @@ int cmd_worker(const Args& a) {
 int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
                           const inject::CampaignConfig& cfg,
                           const std::string& out,
-                          const TelemetrySinks& sinks) {
+                          const Telemetry& tel) {
   sched::SchedulerConfig sc;
-  sc.shard_size = a.num_u32("shard-size", 64);
-  sc.flush_records = a.num_u32("flush", 32);
-  sc.max_new_injections = a.num("max-new", 0);
-  (void)postmortem_from_args(a);  // in-process: dump on fatal signal only
-  install_stop_handler();
-  sc.should_stop = [] { return g_stop_requested != 0; };
-  if (sinks.progress && sinks.tel) {
-    inject::CampaignTelemetry* tel = sinks.get();
-    sc.on_progress = [tel](const sched::Progress& p) {
-      std::cerr << "\r[campaign] "
-                << tel->progress_line(p.done, p.total, p.executed,
-                                      p.wall_seconds)
-                << std::flush;
-    };
-  } else {
-    sc.on_progress = [](const sched::Progress& p) {
-      std::cerr << "\r[campaign] " << p.done << "/" << p.total
-                << " injections persisted" << progress_rate_suffix(p)
-                << std::flush;
-    };
-  }
+  sc.shard_size = a.num("shard-size");
+  sc.flush_records = a.num("flush");
+  sc.max_new_injections = a.num("max-new");
+  sc.should_stop = install_stop_handler();
+  sc.on_progress = progress_printer(a, tel, "[campaign] ", "persisted");
 
   const sched::ScheduledResult r =
-      sched::run_campaign_to_store(tc, cfg, out, sc, a.flag("resume"));
+      sched::run_campaign_to_store(tc, cfg, out, sc, a.given("resume"));
   std::cerr << "\n";
 
   std::cout << report::section("campaign result");
-  std::cout << "store: " << out << " ("
-            << (r.complete ? "complete" : "INCOMPLETE — finish with --resume")
-            << "); " << r.executed << " executed this run, " << r.resumed
-            << " resumed, " << r.shards << " shards\n";
+  print_store_line(out, r.complete, r.executed, r.resumed);
+  std::cout << ", " << r.shards << " shards\n";
   if (cfg.footprint.enabled) {
     std::cout << "footprints: " << r.footprints
               << " propagation traces persisted (inspect with `sfi explain "
                  "--from "
               << out << "`)\n";
   }
-  std::cout << "workload: " << r.meta.workload_instructions
-            << " instructions / " << r.meta.workload_cycles
-            << " cycles; population " << r.meta.population_size
-            << " latches; "
-            << report::Table::num(r.injections_per_second(), 0)
-            << " injections/s\n";
-  print_throughput(r.wall_seconds, r.cycles_evaluated,
-                   r.cycles_fast_forwarded, r.checkpoint_ops, r.checkpoints,
-                   r.checkpoint_bytes);
-  sinks.write_outputs();
-  std::cout << "\n";
-  print_campaign_tables(r.agg, confidence_from(a));
-  if (r.stopped) {
-    print_resume_hint(out);
-    return 130;
-  }
-  return 0;
+  print_workload(r.meta.workload_instructions, r.meta.workload_cycles,
+                 r.meta.population_size, r.injections_per_second());
+  print_throughput(r);
+  return finish_campaign(a, tel, r.agg, r.stopped);
 }
 
-/// --trace-spans feeds the farm's trace sidecar; a single-process run has
-/// no sidecar and would record nothing, so refuse rather than ignore it.
-void reject_trace_spans(const Args& a, std::string_view verb) {
-  if (!a.flag("trace-spans")) return;
-  throw CliError(std::string(verb) +
-                 ": --trace-spans is for farm campaigns (campaign --out FILE "
-                 "--workers N or --farm HOSTS.txt); for a single-process "
-                 "timeline use --chrome-trace FILE.json");
+enum CampaignMode : std::size_t { kInMemory, kStoreMode, kFarmMode };
+
+/// --out selects a store campaign, --workers/--farm with it a farm one.
+std::size_t campaign_mode(const Args& a) {
+  if (!a.given("out")) return kInMemory;
+  return a.given("workers") || a.given("farm") ? kFarmMode : kStoreMode;
 }
 
 int cmd_campaign(const Args& a) {
-  const bool farm_mode =
-      a.opts.count("workers") != 0 || a.opts.count("farm") != 0;
-  if (!farm_mode) reject_trace_spans(a, "campaign");
+  const std::size_t mode = campaign_mode(a);
   const avp::Testcase tc = make_testcase(a);
-  inject::CampaignConfig cfg = campaign_config(a, 1000);
-  const TelemetrySinks sinks =
-      make_telemetry(a, farm_mode ? "sfi farm" : "sfi campaign");
-  cfg.telemetry = sinks.get();
+  inject::CampaignConfig cfg = campaign_config(a);
+  cfg.threads = a.num("threads");
+  const Telemetry tel = make_telemetry(
+      a, mode == kFarmMode ? "sfi farm" : "sfi campaign",
+      a.given("postmortem") || a.given("trace-spans"));
+  cfg.telemetry = tel.get();
+  if (const auto path = a.str("postmortem")) {
+    // The crash flight recorder: telemetry lines tee into a fixed in-memory
+    // ring, dumped to FILE on a fatal signal. Observability-only.
+    telemetry::FlightRecorder::global().enable(2048);
+    telemetry::FlightRecorder::arm_signals(*path);
+  }
+  (void)confidence_from(a);  // a bad level fails before the run, not after
 
-  if (const auto out = a.str("out")) {
-    if (farm_mode) return cmd_campaign_farm(a, tc, cfg, *out, sinks);
-    return cmd_campaign_to_store(a, tc, cfg, *out, sinks);
+  if (mode == kFarmMode) {
+    return cmd_campaign_farm(a, tc, cfg, *a.str("out"), tel);
   }
-  if (farm_mode) {
-    throw CliError(
-        "--workers/--farm require --out FILE.sfr (shards merge into it)");
+  if (mode == kStoreMode) {
+    return cmd_campaign_to_store(a, tc, cfg, *a.str("out"), tel);
   }
-  if (a.flag("resume")) {
-    throw CliError("--resume requires --out FILE (a store to resume into)");
-  }
-
   const inject::CampaignResult r = inject::run_campaign(tc, cfg);
-  if (sinks.progress && sinks.tel) {
-    std::cerr << "[campaign] "
-              << sinks.tel->progress_line(r.records.size(), r.records.size(),
-                                          r.records.size(), r.wall_seconds)
-              << "\n";
-  }
+  print_final_progress(a, tel, "[campaign] ", r.records.size(),
+                       r.wall_seconds);
   std::cout << report::section("campaign result");
-  std::cout << "workload: " << r.workload_instructions << " instructions / "
-            << r.workload_cycles << " cycles; population "
-            << r.population_size << " latches; "
-            << report::Table::num(r.injections_per_second(), 0)
-            << " injections/s\n";
-  print_throughput(r.wall_seconds, r.cycles_evaluated,
-                   r.cycles_fast_forwarded, r.checkpoint_ops, r.checkpoints,
-                   r.checkpoint_bytes);
-  sinks.write_outputs();
-  std::cout << "\n";
-  print_campaign_tables(r.agg, confidence_from(a));
-  return 0;
+  print_workload(r.workload_instructions, r.workload_cycles,
+                 r.population_size, r.injections_per_second());
+  print_throughput(r);
+  return finish_campaign(a, tel, r.agg, false);
 }
 
 int cmd_report(const Args& a) {
   const auto from = a.str("from");
-  if (!from) throw CliError("report requires --from FILE.sfr");
 
   const auto [meta, agg] = store::aggregate_store(*from);
   std::cout << report::section("campaign report (from store, no simulation)");
@@ -1012,7 +864,6 @@ void explain_bucket_json(telemetry::JsonWriter& w, const std::string& label,
 
 int cmd_explain(const Args& a) {
   const auto from = a.str("from");
-  if (!from) throw CliError("explain requires --from FILE.sfr");
 
   // One pass over the store collects meta, the record count and every
   // propagation frame.
@@ -1030,9 +881,7 @@ int cmd_explain(const Args& a) {
       }
     }
   }
-  std::sort(fps.begin(), fps.end(),
-            [](const inject::PropagationRecord& x,
-               const inject::PropagationRecord& y) { return x.index < y.index; });
+  std::ranges::sort(fps, {}, &inject::PropagationRecord::index);
 
   std::cout << report::section("fault-propagation forensics");
   std::cout << "store: " << *from << "; " << records << "/"
@@ -1214,9 +1063,7 @@ int cmd_explain(const Args& a) {
 
 int cmd_merge(const Args& a) {
   const auto out = a.str("out");
-  if (!out || a.positional.empty()) {
-    throw CliError("merge requires --out MERGED.sfr and >=1 input stores");
-  }
+  if (a.positional.empty()) throw CliError("merge needs >=1 input stores");
   const store::MergeSummary s = store::merge_stores(a.positional, *out);
   std::cout << report::section("store merge");
   std::cout << s.inputs << " shard(s), " << s.records_read
@@ -1232,78 +1079,55 @@ int cmd_merge(const Args& a) {
 }
 
 int cmd_beam(const Args& a) {
-  // Beam accepts --engine for CLI symmetry but only the scalar engine is
-  // valid: the lane engine's fast path *is* an internal-state observation
-  // (diff-vs-reference convergence), which beam disables by design to model
-  // physical irradiation, and array strikes diverge in aux state the latch
-  // diff carrier can't see. See DESIGN.md §16 and beam.cpp.
-  if (const auto e = a.str("engine")) {
-    const auto kind = inject::parse_engine(*e);
-    if (!kind) {
-      throw CliError("unknown engine '" + *e + "' (expected scalar or lanes)");
-    }
-    if (*kind != inject::EngineKind::Scalar) {
-      throw CliError(
-          "beam supports --engine scalar only: beam classification is "
-          "RAS/end-of-test observable-only (no internal-state convergence "
-          "proof), which is the lane engine's entire fast path");
-    }
-  }
-  reject_trace_spans(a, "beam");
   const avp::Testcase tc = make_testcase(a);
   beam::BeamConfig cfg;
-  cfg.seed = a.num("seed", 42);
-  cfg.num_events = a.num_u32("n", 1000);
-  cfg.threads = a.num_u32("threads", 0);
-  cfg.core.checkers_enabled = !a.flag("raw");
-  cfg.ckpt_interval = a.num("ckpt-interval", emu::kCkptAuto);
-  cfg.ckpt_memory_budget = a.num("ckpt-mem", 64) << 20;
-  const TelemetrySinks sinks = make_telemetry(a, "sfi beam");
-  cfg.telemetry = sinks.get();
+  cfg.seed = a.num("seed");
+  cfg.num_events = a.num("n");
+  cfg.threads = a.num("threads");
+  cfg.core.checkers_enabled = !a.given("raw");
+  if (a.given("ckpt-interval")) cfg.ckpt_interval = a.num("ckpt-interval");
+  cfg.ckpt_memory_budget = a.num("ckpt-mem") << 20;
+  const double confidence = confidence_from(a);
+  const Telemetry tel = make_telemetry(a, "sfi beam");
+  cfg.telemetry = tel.get();
   const beam::BeamResult r = beam::run_beam_experiment(tc, cfg);
-  if (sinks.progress && sinks.tel) {
-    std::cerr << "[beam] "
-              << sinks.tel->progress_line(r.records.size(), r.records.size(),
-                                          r.records.size(), r.wall_seconds)
-              << "\n";
-  }
+  print_final_progress(a, tel, "[beam] ", r.records.size(), r.wall_seconds);
   std::cout << report::section("beam exposure result");
   std::cout << r.latch_events << " latch strikes, " << r.array_events
             << " protected-array strikes\n\n";
-  print_outcomes(r.counts(), confidence_from(a));
-  sinks.write_outputs();
+  print_outcomes(r.counts(), confidence);
+  write_telemetry(a, tel);
   return 0;
 }
 
-/// `sfi trace STORE.sfr [--out trace.json]`: stitch the distributed span
-/// plane of a campaign — the store itself, its `.trace.sfr` sidecar, any
-/// surviving worker shards, and postmortem JSONL dumps — into one Trace
-/// Event JSON file (load it in Perfetto / chrome://tracing). One process
-/// row per OS process; clocks line up because every span is wall-anchored
-/// at its source.
-int cmd_trace_stitch(const Args& a) {
-  const std::string& store_path = a.positional.front();
-  const store::StitchResult r = store::stitch_trace(store_path);
-  const std::string out = a.str("out").value_or("trace.json");
-  {
-    std::ofstream f(out, std::ios::trunc | std::ios::binary);
-    if (!f) throw std::runtime_error("trace: cannot write " + out);
-    f << r.json << "\n";
-  }
-  std::cout << "stitched " << r.spans << " span(s) from " << r.files
-            << " file(s), " << r.processes << " process row(s) -> " << out
-            << " (load in Perfetto / chrome://tracing)\n";
-  if (r.spans == 0) {
-    std::cout << "hint: record spans with `sfi campaign --workers N "
-                 "--trace-spans` or a daemon farm campaign\n";
-  }
-  return 0;
-}
-
+/// `sfi trace --latch NAME[:BIT]` traces one injected fault from cause to
+/// effect. `sfi trace STORE.sfr [--out trace.json]` stitches the distributed
+/// span plane of a campaign — the store itself, its `.trace.sfr` sidecar,
+/// any surviving worker shards, and postmortem JSONL dumps — into one Trace
+/// Event JSON file (load it in Perfetto / chrome://tracing). One process row
+/// per OS process; clocks line up because every span is wall-anchored at
+/// its source.
 int cmd_trace(const Args& a) {
-  // Positional store argument => stitch mode; --latch => single-fault
-  // cause-to-effect trace (the original verb).
-  if (!a.positional.empty()) return cmd_trace_stitch(a);
+  if (a.positional.size() > 1) {
+    throw CliError("trace stitches one store: sfi trace STORE.sfr");
+  }
+  if (a.positional.size() == 1) {
+    const store::StitchResult r = store::stitch_trace(a.positional.front());
+    const std::string out = *a.str("out");
+    {
+      std::ofstream f(out, std::ios::trunc | std::ios::binary);
+      if (!f) throw std::runtime_error("trace: cannot write " + out);
+      f << r.json << "\n";
+    }
+    std::cout << "stitched " << r.spans << " span(s) from " << r.files
+              << " file(s), " << r.processes << " process row(s) -> " << out
+              << " (load in Perfetto / chrome://tracing)\n";
+    if (r.spans == 0) {
+      std::cout << "hint: record spans with `sfi campaign --workers N "
+                   "--trace-spans` or a daemon farm campaign\n";
+    }
+    return 0;
+  }
   const auto latch = a.str("latch");
   if (!latch) {
     throw CliError(
@@ -1339,8 +1163,8 @@ int cmd_trace(const Args& a) {
 
   inject::FaultSpec f;
   f.index = ords[bit];
-  f.cycle = a.num("cycle", 30);
-  if (const auto d = a.num("sticky", 0); d != 0) {
+  f.cycle = a.num("cycle");
+  if (const auto d = a.num("sticky"); d != 0) {
     f.mode = inject::FaultMode::Sticky;
     f.sticky_duration = d;
     f.sticky_value = true;
@@ -1352,13 +1176,13 @@ int cmd_trace(const Args& a) {
 
 int cmd_derate(const Args& a) {
   const avp::Testcase tc = make_testcase(a);
-  const inject::CampaignConfig cfg = campaign_config(a, 2000);
+  inject::CampaignConfig cfg = campaign_config(a);
+  cfg.threads = a.num("threads");
   const inject::CampaignResult r = inject::run_campaign(tc, cfg);
 
   core::Pearl6Model model;
-  inject::DeratingConfig dc;
   const inject::DeratingReport rep =
-      inject::compute_derating(r, model.registry(), dc);
+      inject::compute_derating(r, model.registry(), {});
 
   std::cout << report::section("derating & FIT budget");
   std::cout << rep.summary() << "\n";
@@ -1393,20 +1217,17 @@ int cmd_mix(const Args& a) {
 // --- serve: campaign daemon + clients --------------------------------------
 
 int cmd_serve(const Args& a) {
-  const auto state_dir = a.str("state-dir");
-  if (!state_dir) throw CliError("serve requires --state-dir DIR");
   serve::ServeConfig sc;
-  sc.state_dir = *state_dir;
+  sc.state_dir = *a.str("state-dir");
   if (const auto l = a.str("listen")) sc.listen = *l;
-  sc.max_active = a.num_u32("max-active", 2);
-  sc.default_threads = a.num_u32("campaign-threads", 1);
+  sc.max_active = a.num("max-active");
+  sc.default_threads = a.num("campaign-threads");
   if (const auto h = a.str("http")) sc.http = *h;
-  sc.metrics_every = a.num_u32("metrics-every", 32);
-  install_stop_handler();
-  sc.should_stop = [] { return g_stop_requested != 0; };
+  sc.metrics_every = a.num("metrics-every");
+  sc.should_stop = install_stop_handler();
   serve::Daemon d(sc);
   std::cout << "sfi serve: listening on " << d.address().describe()
-            << "; state dir " << *state_dir << "; max active "
+            << "; state dir " << sc.state_dir << "; max active "
             << sc.max_active;
   if (d.http_enabled()) {
     std::cout << "; http " << d.http_address().describe()
@@ -1416,84 +1237,73 @@ int cmd_serve(const Args& a) {
   return d.run();
 }
 
-serve::Address client_address(const Args& a) {
-  const auto spec = a.str("connect");
-  if (!spec) {
-    throw CliError("requires --connect ADDR (unix:PATH or tcp:HOST:PORT)");
+/// A connected channel to the --connect daemon.
+int connect_client(const Args& a) {
+  farm::ignore_sigpipe();
+  return serve::connect_to(serve::parse_address(*a.str("connect")));
+}
+
+/// Sends a watch request for campaign `id` on `ch` and prints its events
+/// until the daemon ends the stream; 1 if the daemon answered an error.
+int follow_events(serve::LineChannel& ch, u64 id) {
+  telemetry::JsonWriter w;
+  w.begin_object().field("op", "watch").field("id", id).end_object();
+  if (!ch.send_line(w.str())) {
+    throw std::runtime_error("watch: daemon closed the connection");
   }
-  return serve::parse_address(*spec);
+  std::string line;
+  int rc = 0;
+  while (ch.recv_line(line)) {
+    std::cout << line << "\n" << std::flush;
+    if (line.rfind("{\"ok\":false", 0) == 0) rc = 1;
+  }
+  return rc;
 }
 
 int cmd_submit(const Args& a) {
-  farm::ignore_sigpipe();
-  // Build (and strictly parse) the request before touching the socket so a
-  // usage error is reported as such even when no daemon is listening.
-  const serve::Address addr = client_address(a);
-  // Validate the engine name client-side so a typo is a usage error here,
+  // The engine name is checked client-side so a typo is a usage error here,
   // not a silently-defaulted daemon campaign. ("engine" in status replies
   // names the dispatch mode, farm/sched — hence "inj_engine" on the wire.)
-  const std::string engine = a.str("engine").value_or("scalar");
-  if (!inject::parse_engine(engine)) {
-    throw CliError("unknown engine '" + engine +
-                   "' (expected scalar or lanes)");
-  }
   telemetry::JsonWriter w;
   w.begin_object()
       .field("op", "submit")
-      .field("tenant", a.str("tenant").value_or("default"))
-      .field("seed", a.num("seed", 42))
-      .field("testcase_seed", a.num("testcase-seed", 2026))
-      .field("instructions", a.num("instructions", 160))
-      .field("n", a.num("n", 1000))
+      .field("tenant", *a.str("tenant"))
+      .field("seed", a.num("seed"))
+      .field("testcase_seed", a.num("testcase-seed"))
+      .field("instructions", a.num("instructions"))
+      .field("n", a.num("n"))
       .field("confidence", confidence_from(a))
-      .field("half_width", a.fnum("half-width", 0.02))
-      .field("by_unit", a.flag("stratify-unit"))
-      .field("threads", a.num("threads", 0))
-      .field("workers", a.num("workers", 0))
-      .field("shard_size", a.num("shard-size", 16))
-      .field("flush_records", a.num("flush", 8))
-      .field("inj_engine", engine)
-      .field("lanes", a.num_u32("lanes", 64))
+      .field("half_width", a.real("half-width"))
+      .field("by_unit", a.given("stratify-unit"))
+      .field("threads", a.num("threads"))
+      .field("workers", a.num("workers"))
+      .field("shard_size", a.num("shard-size"))
+      .field("flush_records", a.num("flush"))
+      .field("inj_engine", inject::engine_name(engine_from(a)))
+      .field("lanes", a.num("lanes"))
       .end_object();
-  serve::LineChannel ch(serve::connect_to(addr));
-  if (!ch.send_line(w.str())) {
-    throw std::runtime_error("submit: daemon closed the connection");
-  }
+  serve::LineChannel ch(connect_client(a));
   std::string reply;
-  if (!ch.recv_line(reply)) {
+  if (!ch.send_line(w.str()) || !ch.recv_line(reply)) {
     throw std::runtime_error("submit: no reply from daemon");
   }
   std::cout << reply << "\n" << std::flush;
   const serve::Json r = serve::Json::parse(reply);
   if (!r.get_bool("ok", false)) return 1;
-  if (!a.flag("wait")) return 0;
+  if (!a.given("wait")) return 0;
 
   // --wait: follow the campaign's event stream on the same connection until
   // the daemon finishes it (the final line is the "finish" report event).
-  telemetry::JsonWriter watch;
-  watch.begin_object()
-      .field("op", "watch")
-      .field("id", r.get_u64("id", 0))
-      .end_object();
-  if (!ch.send_line(watch.str())) {
-    throw std::runtime_error("submit --wait: daemon closed the connection");
-  }
-  std::string line;
-  while (ch.recv_line(line)) std::cout << line << "\n" << std::flush;
-  return 0;
+  return follow_events(ch, r.get_u64("id", 0));
 }
 
 int cmd_status(const Args& a) {
-  farm::ignore_sigpipe();
-  serve::LineChannel ch(serve::connect_to(client_address(a)));
-  if (!ch.send_line(R"({"op":"status"})")) {
-    throw std::runtime_error("status: daemon closed the connection");
-  }
+  serve::LineChannel ch(connect_client(a));
   std::string reply;
-  if (!ch.recv_line(reply)) {
+  if (!ch.send_line(R"({"op":"status"})") || !ch.recv_line(reply)) {
     throw std::runtime_error("status: no reply from daemon");
   }
-  if (a.flag("json")) {
+  if (a.given("json")) {
     std::cout << reply << "\n";
     return 0;
   }
@@ -1524,63 +1334,30 @@ int cmd_status(const Args& a) {
 }
 
 int cmd_watch(const Args& a) {
-  farm::ignore_sigpipe();
-  const u64 id = a.num("id", 0);
-  if (id == 0) throw CliError("watch requires --id N");
-  serve::LineChannel ch(serve::connect_to(client_address(a)));
-  telemetry::JsonWriter w;
-  w.begin_object().field("op", "watch").field("id", id).end_object();
-  if (!ch.send_line(w.str())) {
-    throw std::runtime_error("watch: daemon closed the connection");
-  }
-  std::string line;
-  int rc = 0;
-  while (ch.recv_line(line)) {
-    std::cout << line << "\n" << std::flush;
-    if (line.rfind("{\"ok\":false", 0) == 0) rc = 1;
-  }
-  return rc;
+  serve::LineChannel ch(connect_client(a));
+  return follow_events(ch, a.num("id"));
 }
 
-/// One blocking HTTP/1.1 GET against the daemon's observability listener;
-/// returns the response body. Enough protocol for our own server (and any
-/// other that honours Connection: close).
-std::string http_get(const serve::Address& addr, const std::string& path) {
-  const int fd = serve::connect_to(addr);
-  const std::string req =
-      "GET " + path + " HTTP/1.1\r\nHost: sfi\r\nConnection: close\r\n\r\n";
-  std::size_t off = 0;
-  while (off < req.size()) {
-    const ssize_t n =
-        ::send(fd, req.data() + off, req.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw std::runtime_error("http: send failed to " + addr.describe());
-    }
-    off += static_cast<std::size_t>(n);
+/// GET /campaigns from the daemon's HTTP plane (Connection: close): the
+/// one-line JSON body.
+std::string get_campaigns(const serve::Address& addr) {
+  serve::LineChannel ch(serve::connect_to(addr));
+  std::string line;
+  if (!ch.send_line("GET /campaigns HTTP/1.1\r\nHost: sfi\r\n"
+                    "Connection: close\r\n\r") ||
+      !ch.recv_line(line)) {
+    throw std::runtime_error("http: no response from " + addr.describe());
   }
-  std::string resp;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;
-    resp.append(buf, static_cast<std::size_t>(n));
+  if (!line.starts_with("HTTP/1.1 200")) {
+    throw std::runtime_error("http: " + line.substr(0, line.find('\r')));
   }
-  ::close(fd);
-  const std::size_t hdr = resp.find("\r\n\r\n");
-  if (hdr == std::string::npos) {
+  while (line != "\r" && ch.recv_line(line)) {
+  }
+  if (!ch.recv_line(line)) {
     throw std::runtime_error("http: malformed response from " +
                              addr.describe());
   }
-  if (resp.rfind("HTTP/1.1 200", 0) != 0) {
-    throw std::runtime_error("http: " + resp.substr(0, resp.find("\r\n")));
-  }
-  return resp.substr(hdr + 4);
+  return line;
 }
 
 /// `sfi top`: a terminal dashboard over GET /campaigns — one row per
@@ -1589,25 +1366,45 @@ std::string http_get(const serve::Address& addr, const std::string& path) {
 /// the same endpoint Prometheus scrapes.
 int cmd_top(const Args& a) {
   farm::ignore_sigpipe();
-  const auto spec = a.str("http");
-  if (!spec) {
-    throw CliError("top requires --http ADDR (the daemon's --http address)");
-  }
-  const serve::Address addr = serve::parse_address(*spec);
-  const double interval = a.fnum("interval", 2.0);
-  const bool once = a.flag("once");
-  const bool json = a.flag("json");
-  install_stop_handler();
+  const serve::Address addr = serve::parse_address(*a.str("http"));
+  const double interval = a.real("interval");
+  const bool once = a.given("once");
+  const bool json = a.given("json");
+  (void)install_stop_handler();
 
   struct Seen {
     u64 done = 0;
     std::chrono::steady_clock::time_point at;
   };
+  struct Row {
+    const serve::Json* c;
+    u64 id, done, n;
+    double rate;  ///< injections/s since the previous poll (0 on the first)
+    double eta;   ///< seconds to n at `rate`, -1 when unknown
+  };
   std::map<u64, Seen> last;
   while (g_stop_requested == 0) {
-    const std::string body = http_get(addr, "/campaigns");
-    const serve::Json r = serve::Json::parse(body);
+    const serve::Json r = serve::Json::parse(get_campaigns(addr));
     const auto now = std::chrono::steady_clock::now();
+    std::vector<Row> rows;
+    if (const serve::Json* cs = r.find("campaigns")) {
+      for (const serve::Json& c : cs->items()) {
+        Row row{&c, c.get_u64("id", 0), c.get_u64("done", 0),
+                c.get_u64("n", 0), 0.0, -1.0};
+        if (const auto it = last.find(row.id); it != last.end()) {
+          const double dt =
+              std::chrono::duration<double>(now - it->second.at).count();
+          if (dt > 0.0 && row.done >= it->second.done) {
+            row.rate = static_cast<double>(row.done - it->second.done) / dt;
+          }
+        }
+        if (row.rate > 0.0 && row.n > row.done) {
+          row.eta = static_cast<double>(row.n - row.done) / row.rate;
+        }
+        last[row.id] = {row.done, now};
+        rows.push_back(row);
+      }
+    }
     if (json) {
       // Machine-readable refresh: one JSON object per line — the daemon's
       // /campaigns document plus the rates/ETAs this dashboard computes
@@ -1617,79 +1414,39 @@ int cmd_top(const Args& a) {
           .field("endpoint", addr.describe())
           .field("stopping", r.get_bool("stopping", false));
       w.key("campaigns").begin_array();
-      if (const serve::Json* cs = r.find("campaigns")) {
-        for (const serve::Json& c : cs->items()) {
-          const u64 id = c.get_u64("id", 0);
-          const u64 done = c.get_u64("done", 0);
-          const u64 n = c.get_u64("n", 0);
-          double rate = 0.0;
-          if (const auto it = last.find(id); it != last.end()) {
-            const double dt =
-                std::chrono::duration<double>(now - it->second.at).count();
-            if (dt > 0.0 && done >= it->second.done) {
-              rate = static_cast<double>(done - it->second.done) / dt;
-            }
-          }
-          last[id] = {done, now};
-          w.begin_object()
-              .field("id", id)
-              .field("tenant", c.get_str("tenant", "?"))
-              .field("state", c.get_str("state", "?"))
-              .field("engine", c.get_str("engine", "?"))
-              .field("done", done)
-              .field("n", n)
-              .field("committed", c.get_u64("committed", 0))
-              .field("rate_per_s", rate)
-              .field("eta_s", rate > 0.0 && n > done
-                                  ? static_cast<double>(n - done) / rate
-                                  : -1.0)
-              .field("widest_half_width",
-                     c.get_num("widest_half_width", -1.0))
-              .field("target_half_width",
-                     c.get_num("target_half_width", 0.0))
-              .field("early_stop", c.get_bool("early_stop", false))
-              .field("workers", c.get_u64("workers", 0))
-              .end_object();
-        }
+      for (const Row& row : rows) {
+        const serve::Json& c = *row.c;
+        w.begin_object()
+            .field("id", row.id)
+            .field("tenant", c.get_str("tenant", "?"))
+            .field("state", c.get_str("state", "?"))
+            .field("engine", c.get_str("engine", "?"))
+            .field("done", row.done)
+            .field("n", row.n)
+            .field("committed", c.get_u64("committed", 0))
+            .field("rate_per_s", row.rate)
+            .field("eta_s", row.eta)
+            .field("widest_half_width", c.get_num("widest_half_width", -1.0))
+            .field("target_half_width", c.get_num("target_half_width", 0.0))
+            .field("early_stop", c.get_bool("early_stop", false))
+            .field("workers", c.get_u64("workers", 0))
+            .end_object();
       }
       w.end_array().end_object();
       std::cout << w.str() << "\n" << std::flush;
-      if (once) return 0;
-      const auto deadline =
-          now +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(interval));
-      while (g_stop_requested == 0 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
-    if (!once) std::cout << "\x1b[H\x1b[2J";  // cursor home + clear screen
-    std::cout << "sfi top — " << addr.describe()
-              << (r.get_bool("stopping", false) ? " (stopping)" : "") << "\n";
-    report::Table t({"id", "tenant", "state", "eng", "done", "rate/s", "eta",
-                     "hw/target", "wrk", "outcome mix"});
-    if (const serve::Json* cs = r.find("campaigns")) {
-      for (const serve::Json& c : cs->items()) {
-        const u64 id = c.get_u64("id", 0);
-        const u64 done = c.get_u64("done", 0);
-        const u64 n = c.get_u64("n", 0);
+    } else {
+      if (!once) std::cout << "\x1b[H\x1b[2J";  // cursor home + clear screen
+      std::cout << "sfi top — " << addr.describe()
+                << (r.get_bool("stopping", false) ? " (stopping)" : "")
+                << "\n";
+      report::Table t({"id", "tenant", "state", "eng", "done", "rate/s",
+                       "eta", "hw/target", "wrk", "outcome mix"});
+      for (const Row& row : rows) {
+        const serve::Json& c = *row.c;
         const std::string state = c.get_str("state", "?");
-        double rate = 0.0;
-        if (const auto it = last.find(id); it != last.end()) {
-          const double dt =
-              std::chrono::duration<double>(now - it->second.at).count();
-          if (dt > 0.0 && done >= it->second.done) {
-            rate = static_cast<double>(done - it->second.done) / dt;
-          }
-        }
-        last[id] = {done, now};
-        std::string eta = "-";
-        if (state == "running" && rate > 0.0 && n > done) {
-          eta = report::Table::num(static_cast<double>(n - done) / rate, 0) +
-                "s";
-        }
+        const std::string eta = state == "running" && row.eta >= 0.0
+                                    ? report::Table::num(row.eta, 0) + "s"
+                                    : "-";
         const double widest = c.get_num("widest_half_width", -1.0);
         std::string hw =
             (widest < 0.0 ? std::string("-")
@@ -1717,14 +1474,14 @@ int cmd_top(const Args& a) {
                                       static_cast<double>(total));
           }
         }
-        t.add_row({std::to_string(id), c.get_str("tenant", "?"), state,
+        t.add_row({std::to_string(row.id), c.get_str("tenant", "?"), state,
                    c.get_str("engine", "?"),
-                   std::to_string(done) + "/" + std::to_string(n),
-                   report::Table::num(rate, 1), eta, hw,
+                   std::to_string(row.done) + "/" + std::to_string(row.n),
+                   report::Table::num(row.rate, 1), eta, hw,
                    std::to_string(c.get_u64("workers", 0)), mix});
       }
+      std::cout << t.to_string() << std::flush;
     }
-    std::cout << t.to_string() << std::flush;
     if (once) return 0;
     // Sleep in slices so Ctrl-C lands promptly, not a poll later.
     const auto deadline =
@@ -1739,8 +1496,7 @@ int cmd_top(const Args& a) {
 }
 
 int cmd_shutdown(const Args& a) {
-  farm::ignore_sigpipe();
-  serve::LineChannel ch(serve::connect_to(client_address(a)));
+  serve::LineChannel ch(connect_client(a));
   if (!ch.send_line(R"({"op":"shutdown"})")) {
     throw std::runtime_error("shutdown: daemon closed the connection");
   }
@@ -1749,33 +1505,112 @@ int cmd_shutdown(const Args& a) {
   return 0;
 }
 
+std::size_t trace_mode(const Args& a) { return a.positional.empty() ? 0 : 1; }
+
+/// Every verb's option table, composed from the declarations at the top.
+const std::vector<Verb>& verbs() {
+  constexpr u8 kMem = 1u << kInMemory, kStore = 1u << kStoreMode;
+  constexpr u8 kFarmed = 1u << kFarmMode;
+  static const std::vector<Verb> table = {
+      {"inventory", "latch/array population report", cmd_inventory, {}},
+      {"campaign", "run a statistical fault-injection campaign", cmd_campaign,
+       kTestcase + Opts{kSeed, kN} + kDefining +
+           only(kMem | kStore, {kThreads}) + kTelemetry +
+           Opts{kConfidence, {"postmortem", Str, "", "crash dump of recent "
+                              "telemetry lines (flight recorder)"}} +
+           only(kStore | kFarmed, kStoreOpts) + only(kStore, kFlushOpts) +
+           only(kFarmed, kFarmOpts + kWorkerHooks),
+       false,
+       {"in-memory campaigns (no --out)", "store campaigns (--out FILE.sfr)",
+        "farm campaigns (--out FILE.sfr with --workers N or --farm "
+        "HOSTS.txt)"},
+       campaign_mode},
+      {"worker", "farm worker process (spawned by campaign --farm)",
+       cmd_worker,
+       kTestcase + Opts{kSeed, kN} + kDefining + kWorkerHooks +
+           Opts{{"shard-store", Str, "", "shard store to append to", kReq},
+                {"worker-id", U32, "0", "id stamped into heartbeats"}}},
+      {"report", "campaign tables from a store, no simulation", cmd_report,
+       {{"from", Str, "", "campaign store", kReq}, kConfidence}},
+      {"explain", "fault-propagation forensics of a --footprint store",
+       cmd_explain,
+       {{"from", Str, "", "campaign store", kReq},
+        {"json", Str, "", "also write the report as JSON"},
+        {"csv", Str, "", "also write one CSV row per footprint"}}},
+      {"merge", "merge store shards: sfi merge --out MERGED.sfr SHARD.sfr...",
+       cmd_merge, {{"out", Str, "", "merged store", kReq}}, true},
+      {"beam", "run a simulated proton-beam exposure", cmd_beam,
+       kTestcase +
+           Opts{kSeed, kN, kRaw, kCkptInterval, kCkptMem, kThreads,
+                kConfidence} +
+           kTelemetry},
+      {"trace", "trace one fault (--latch) or stitch STORE.sfr's spans",
+       cmd_trace,
+       only(1, kTestcase + Opts{kSticky,
+                                {"latch", Str, "", "latch to flip, NAME[:BIT]"},
+                                {"cycle", U64, "30", "injection cycle"}}) +
+           only(2, {{"out", Str, "trace.json", "Trace Event JSON file"}}),
+       true,
+       {"single-fault traces (--latch NAME[:BIT])",
+        "stitching a store (sfi trace STORE.sfr)"},
+       trace_mode},
+      {"mix", "AVP instruction mix and CPI report", cmd_mix, kTestcase},
+      {"derate", "derating factors and chip FIT budget", cmd_derate,
+       kTestcase + Opts{kSeed, {"n", U32, "2000", "injections", kFwd}} +
+           kDefining + Opts{kThreads}},
+      {"serve", "multi-tenant campaign daemon with adaptive early stop",
+       cmd_serve,
+       {kMetricsEvery,
+        {"state-dir", Str, "", "home of stores and manifests", kReq},
+        {"listen", Str, "", "unix:PATH, tcp:HOST:PORT or tcp:PORT"},
+        {"max-active", U32, "2", "campaigns running at once"},
+        {"campaign-threads", U32, "1", "threads of --threads 0 campaigns"},
+        {"http", Str, "", "HTTP plane tcp:HOST:PORT"}}},
+      {"submit", "submit a campaign to a daemon", cmd_submit,
+       kTestcase +
+           Opts{kSeed, kN, kEngine, kLanes, kConnect, kConfidence, kThreads,
+                {"tenant", Str, "default", "fair-share accounting bucket"},
+                {"half-width", F64, "0.02", "early-stop interval target"},
+                {"stratify-unit", Flag, "", "per-unit strata too"},
+                {"workers", U32, "0", "farm workers (0: in-process)"},
+                {"shard-size", U32, "16", "injections per shard"},
+                {"flush", U32, "8", "records buffered between flushes"},
+                {"wait", Flag, "", "stream events until the end"}}},
+      {"status", "daemon and campaign status", cmd_status,
+       {kConnect, {"json", Flag, "", "print the raw JSON reply"}}},
+      {"watch", "stream a campaign's events", cmd_watch,
+       {kConnect, {"id", U64, "", "campaign id", kReq}}},
+      {"shutdown", "stop a daemon (campaigns stay resumable)", cmd_shutdown,
+       {kConnect}},
+      {"top", "live per-campaign table over a daemon's HTTP plane", cmd_top,
+       {{"http", Str, "", "the daemon's --http address", kReq},
+        {"interval", F64, "2", "refresh period in seconds"},
+        {"once", Flag, "", "print one refresh and exit"},
+        {"json", Flag, "", "one JSON object per refresh"}}},
+  };
+  return table;
+}
+
+int usage() {
+  std::cout << "usage: sfi <command> [options]\ncommands:\n";
+  for (const Verb& v : verbs()) {
+    std::cout << "  " << v.name << std::string(11 - v.name.size(), ' ')
+              << v.summary << "\n";
+  }
+  std::cout << "sfi <command> --help (any unknown option) lists its options\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Args a = parse(argc, argv);
-    if (a.command == "inventory") return cmd_inventory();
-    if (a.command == "campaign") return cmd_campaign(a);
-    if (a.command == "worker") return cmd_worker(a);
-    if (a.command == "report") return cmd_report(a);
-    if (a.command == "explain") return cmd_explain(a);
-    if (a.command == "merge") return cmd_merge(a);
-    if (a.command == "beam") return cmd_beam(a);
-    if (a.command == "trace") return cmd_trace(a);
-    if (a.command == "mix") return cmd_mix(a);
-    if (a.command == "derate") return cmd_derate(a);
-    if (a.command == "serve") return cmd_serve(a);
-    if (a.command == "submit") return cmd_submit(a);
-    if (a.command == "status") return cmd_status(a);
-    if (a.command == "watch") return cmd_watch(a);
-    if (a.command == "shutdown") return cmd_shutdown(a);
-    if (a.command == "top") return cmd_top(a);
-  } catch (const CliError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
+    for (const Verb& v : verbs()) {
+      if (argc > 1 && v.name == argv[1]) return v.run(parse(v, argc, argv));
+    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    return dynamic_cast<const CliError*>(&e) != nullptr ? 2 : 1;
   }
   return usage();
 }
