@@ -8,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "sfi/engine.hpp"
+#include "sfi/tracer.hpp"
 
 namespace sfi::inject {
 
@@ -129,9 +130,9 @@ InjectionRecord make_record(const netlist::LatchRegistry& reg,
 InjectionRecord make_record(core::Pearl6Model& model, const FaultSpec& fault,
                             const RunResult& rr) {
   InjectionRecord rec = make_record(model.registry(), fault, rr);
-  if (fault.target == FaultTarget::ArrayCell) {
-    rec.unit = model.arrays().locate(fault.array_bit).array->unit();
-  }
+  const FaultOrigin origin = fault_origin(model, fault);
+  rec.unit = origin.unit;
+  rec.type = origin.type;
   return rec;
 }
 

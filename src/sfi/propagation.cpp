@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "sfi/tracer.hpp"
 
 namespace sfi::inject {
 
@@ -56,16 +57,10 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
   rec.outcome = primary.outcome;
   rec.fault_cycle = fault.cycle;
   rec.first_corrupt.fill(kNeverCorrupted);
-  if (fault.target == FaultTarget::Latch) {
-    const netlist::LatchMeta& meta =
-        model_.registry().meta_of_ordinal(fault.index);
-    rec.unit = meta.unit;
-    rec.type = meta.type;
-  } else {
-    // An array cell is not a latch; the footprint shows its latch fallout.
-    rec.unit = model_.arrays().locate(fault.array_bit).array->unit();
-    rec.type = netlist::LatchType::Func;
-  }
+  // An array cell is not a latch; the footprint shows its latch fallout.
+  const FaultOrigin origin = fault_origin(model_, fault);
+  rec.unit = origin.unit;
+  rec.type = origin.type;
   rec.detected = primary.detected_cycle.has_value();
   if (rec.detected) rec.detected_at = *primary.detected_cycle - fault.cycle;
 
@@ -74,16 +69,8 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
   emu_.restore_checkpoint(prefault_);
   runner_.apply_fault(fault);
 
-  bool saw_checker = false;
-  model_.set_cycle_observer(
-      [&](const core::Signals& sig, const core::Controls&) {
-        if (saw_checker || sig.events.empty()) return;
-        const core::CheckerEvent& e = sig.events.front();
-        saw_checker = true;
-        rec.checker_fired = true;
-        rec.checker = e.id;
-        rec.checker_fatal = e.fatal;
-      });
+  std::vector<TraceEvent> events;
+  const RasEventRecorder ras_events(model_, emu_, events);
 
   const auto& masks = model_.registry().hash_masks();
   constexpr std::size_t kNumGroups =
@@ -183,7 +170,11 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
       break;
     }
   }
-  model_.clear_cycle_observer();
+  if (const TraceEvent* first = first_checker(events)) {
+    rec.checker_fired = true;
+    rec.checker = first->checker;
+    rec.checker_fatal = first->fatal;
+  }
 
   if (finished_run) {
     // The traced run reached end-of-test: read out architected state and

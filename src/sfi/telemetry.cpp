@@ -60,9 +60,7 @@ void WorkerTelemetry::shard_begin(u64 shard, u64 injections) {
   if (book_ != nullptr) span_shard_start_us_ = book_->now_us();
   if (auto* log = owner_.events()) {
     telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "shard_dispatch")
-        .field("t_us", owner_.now_us())
+    owner_.begin_event(w, "shard_dispatch")
         .field("shard", shard)
         .field("worker", u64{tid_})
         .field("injections", injections)
@@ -84,9 +82,7 @@ void WorkerTelemetry::shard_end(u64 shard, u64 executed) {
   }
   if (auto* log = owner_.events()) {
     telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "shard_complete")
-        .field("t_us", owner_.now_us())
+    owner_.begin_event(w, "shard_complete")
         .field("shard", shard)
         .field("worker", u64{tid_})
         .field("executed", executed)
@@ -125,24 +121,16 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
   // --- event log (sampled) ---
   auto* log = o.events();
   if (log != nullptr && ph.new_checkpoint) {
-    telemetry::JsonWriter& w = scratch_;
-    w.clear();
-    w.begin_object()
-        .field("ev", "ckpt_restore")
-        .field("t_us", o.now_us())
-        .field("worker", u64{tid_})
+    telemetry::JsonWriter& w = o.begin_event(scratch_, "ckpt_restore");
+    w.field("worker", u64{tid_})
         .field("cycle", ph.restore_cycle)
         .end_object();
     log->emit(w.str());
   }
   const u32 es = o.cfg_.event_sample;
   if (log != nullptr && es != 0 && index % es == 0) {
-    telemetry::JsonWriter& w = scratch_;
-    w.clear();
-    w.begin_object()
-        .field("ev", "injection")
-        .field("t_us", o.now_us())
-        .field("i", u64{index})
+    telemetry::JsonWriter& w = o.begin_event(scratch_, "injection");
+    w.field("i", u64{index})
         .field("worker", u64{tid_})
         .field("cycle", rec.fault.cycle)
         .field("target",
@@ -236,12 +224,8 @@ void WorkerTelemetry::record_footprint(u32 index,
   auto* log = o.events();
   const u32 es = o.cfg_.event_sample;
   if (log != nullptr && es != 0 && index % es == 0) {
-    telemetry::JsonWriter& w = scratch_;
-    w.clear();
-    w.begin_object()
-        .field("ev", "propagation")
-        .field("t_us", o.now_us())
-        .field("i", u64{rec.index})
+    telemetry::JsonWriter& w = o.begin_event(scratch_, "propagation");
+    w.field("i", u64{rec.index})
         .field("worker", u64{tid_})
         .field("unit", netlist::to_string(rec.unit))
         .field("type", netlist::to_string(rec.type))
@@ -454,34 +438,58 @@ void CampaignTelemetry::flight_recorder_tail_to_spans(
   }
 }
 
+telemetry::JsonWriter& CampaignTelemetry::begin_event(
+    telemetry::JsonWriter& w, std::string_view ev,
+    std::string_view fields) const {
+  w.clear();
+  w.begin_object().field("ev", ev).field("t_us", now_us());
+  if (fields.size() > 2) w.raw(fields.substr(1, fields.size() - 2));
+  return w;
+}
+
+u64 CampaignTelemetry::publish(std::string_view ev,
+                                const telemetry::JsonWriter& fields,
+                                std::string_view span, std::string_view cat,
+                                std::optional<u64> dur_us) {
+  const std::string& args = fields.str();
+  // Without an event log the line still goes to the crash flight recorder
+  // (when one is enabled): lifecycle and supervision facts are exactly the
+  // context a postmortem needs. EventLog::emit tees on its own, so the
+  // direct note() only runs on the log-less path.
+  auto* log = events();
+  auto& recorder = telemetry::FlightRecorder::global();
+  if (log != nullptr || recorder.enabled()) {
+    telemetry::JsonWriter line;
+    begin_event(line, ev, args).end_object();
+    if (log != nullptr) {
+      log->emit(line.str());
+    } else {
+      recorder.note(line.str());
+    }
+  }
+  if (!span_book_) return 0;
+  const u64 ts = span_book_->now_us();
+  if (dur_us) {
+    span_book_->slice(span, cat, ts, *dur_us, 0, args);
+  } else {
+    span_book_->instant(span, cat, ts, 0, args);
+  }
+  return ts;
+}
+
 void CampaignTelemetry::campaign_start(std::string_view kind, u64 seed,
                                        u64 total, u64 resumed) {
   registry_.set_gauge(g_total_, static_cast<double>(total));
   registry_.set_gauge(g_resumed_, static_cast<double>(resumed));
-  if (span_book_) {
-    span_campaign_start_us_ = span_book_->now_us();
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("kind", kind)
-        .field("seed", seed)
-        .field("total", total)
-        .field("resumed", resumed)
-        .end_object();
-    span_book_->instant("campaign start", "lifecycle",
-                        span_campaign_start_us_, 0, args.str());
-  }
-  if (auto* log = events()) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "campaign_start")
-        .field("t_us", now_us())
-        .field("kind", kind)
-        .field("seed", seed)
-        .field("total", total)
-        .field("resumed", resumed)
-        .end_object();
-    log->emit(w.str());
-  }
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("kind", kind)
+      .field("seed", seed)
+      .field("total", total)
+      .field("resumed", resumed)
+      .end_object();
+  const u64 ts = publish("campaign_start", f, "campaign start", "lifecycle");
+  if (span_book_) span_campaign_start_us_ = ts;
 }
 
 void CampaignTelemetry::checkpoint_store_built(
@@ -492,9 +500,7 @@ void CampaignTelemetry::checkpoint_store_built(
   registry_.set_gauge(g_ckpt_interval_, static_cast<double>(interval));
   if (auto* log = events()) {
     telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "ckpt_store")
-        .field("t_us", now_us())
+    begin_event(w, "ckpt_store")
         .field("count", u64{count})
         .field("resident_bytes", resident_bytes)
         .field("interval", interval)
@@ -504,9 +510,7 @@ void CampaignTelemetry::checkpoint_store_built(
     const u32 es = cfg_.event_sample == 0 ? 1 : cfg_.event_sample;
     for (std::size_t i = 0; i < cycles.size(); i += es) {
       telemetry::JsonWriter s;
-      s.begin_object()
-          .field("ev", "ckpt_save")
-          .field("t_us", now_us())
+      begin_event(s, "ckpt_save")
           .field("index", u64{i})
           .field("cycle", cycles[i])
           .end_object();
@@ -526,13 +530,15 @@ void CampaignTelemetry::campaign_finish(const CampaignAggregate& agg,
   merge_workers();
   registry_.set_gauge(g_wall_seconds_, wall_seconds);
   registry_.set_gauge(g_executed_, static_cast<double>(executed));
+  // The root slice's args; the event line adds the outcome tally.
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("executed", executed)
+      .field("wall_seconds", wall_seconds)
+      .end_object();
   if (auto* log = events()) {
     telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "campaign_finish")
-        .field("t_us", now_us())
-        .field("executed", executed)
-        .field("wall_seconds", wall_seconds);
+    begin_event(w, "campaign_finish", f.str());
     w.key("outcomes").begin_object();
     for (const auto o : kAllOutcomes) {
       w.field(to_string(o), agg.counts.of(o));
@@ -543,153 +549,90 @@ void CampaignTelemetry::campaign_finish(const CampaignAggregate& agg,
   }
   if (span_book_) {
     const u64 end = span_book_->now_us();
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("executed", executed)
-        .field("wall_seconds", wall_seconds)
-        .end_object();
     span_book_->slice("campaign", "lifecycle", span_campaign_start_us_,
                       end > span_campaign_start_us_
                           ? end - span_campaign_start_us_
                           : 0,
-                      0, args.str());
+                      0, f.str());
   }
 }
-
-namespace {
-
-/// Shared shape of the farm lifecycle events: {"ev": ..., "t_us": ...} plus
-/// caller-specific fields appended by `extra`.
-template <typename Fn>
-void emit_farm_event(telemetry::EventLog* log, u64 t_us, std::string_view ev,
-                     Fn&& extra) {
-  // Without an event log the line still goes to the crash flight recorder
-  // (when one is enabled): farm supervision events are exactly the context
-  // a postmortem needs. EventLog::emit tees on its own, so the direct
-  // note() only runs on the log-less path.
-  auto& recorder = telemetry::FlightRecorder::global();
-  if (log == nullptr && !recorder.enabled()) return;
-  telemetry::JsonWriter w;
-  w.begin_object().field("ev", ev).field("t_us", t_us);
-  extra(w);
-  w.end_object();
-  if (log != nullptr) {
-    log->emit(w.str());
-  } else {
-    recorder.note(w.str());
-  }
-}
-
-}  // namespace
 
 void CampaignTelemetry::farm_worker_spawned(u32 slot, i64 pid,
                                             u32 generation) {
   registry_.add(c_farm_spawned_);
-  emit_farm_event(events(), now_us(), "farm_spawn", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("generation", static_cast<u64>(generation));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("generation", static_cast<u64>(generation))
-        .end_object();
-    span_book_->instant("spawn worker " + std::to_string(slot), "farm",
-                        span_book_->now_us(), 0, args.str());
-  }
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("slot", u64{slot})
+      .field("pid", pid)
+      .field("generation", u64{generation})
+      .end_object();
+  publish("farm_spawn", f, "spawn worker " + std::to_string(slot), "farm");
 }
 
 void CampaignTelemetry::farm_worker_exited(u32 slot, i64 pid, bool clean,
                                            int detail) {
   if (!clean) registry_.add(c_farm_crashes_);
-  emit_farm_event(events(), now_us(), "farm_exit", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("clean", clean)
-        .field("detail", static_cast<i64>(detail));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("clean", clean)
-        .field("detail", static_cast<i64>(detail))
-        .end_object();
-    span_book_->instant(
-        std::string(clean ? "worker exit " : "worker crash ") +
-            std::to_string(slot),
-        "farm", span_book_->now_us(), 0, args.str());
-  }
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("slot", u64{slot})
+      .field("pid", pid)
+      .field("clean", clean)
+      .field("detail", i64{detail})
+      .end_object();
+  publish("farm_exit", f,
+          (clean ? "worker exit " : "worker crash ") + std::to_string(slot),
+          "farm");
 }
 
 void CampaignTelemetry::farm_watchdog_kill(u32 slot, i64 pid,
                                            std::optional<u32> in_flight) {
   registry_.add(c_farm_watchdog_kills_);
-  emit_farm_event(events(), now_us(), "farm_watchdog_kill", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot)).field("pid", pid);
-    if (in_flight) w.field("in_flight", static_cast<u64>(*in_flight));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object().field("slot", static_cast<u64>(slot)).field("pid",
-                                                                    pid);
-    if (in_flight) args.field("in_flight", static_cast<u64>(*in_flight));
-    args.end_object();
-    span_book_->instant("watchdog kill " + std::to_string(slot), "farm",
-                        span_book_->now_us(), 0, args.str());
-  }
+  telemetry::JsonWriter f;
+  f.begin_object().field("slot", u64{slot}).field("pid", pid);
+  if (in_flight) f.field("in_flight", u64{*in_flight});
+  f.end_object();
+  publish("farm_watchdog_kill", f, "watchdog kill " + std::to_string(slot),
+          "farm");
 }
 
 void CampaignTelemetry::farm_shard_retry(u64 shard, u32 attempt,
                                          double backoff_seconds) {
   registry_.add(c_farm_retries_);
-  emit_farm_event(events(), now_us(), "farm_retry", [&](auto& w) {
-    w.field("shard", shard)
-        .field("attempt", static_cast<u64>(attempt))
-        .field("backoff_seconds", backoff_seconds);
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("shard", shard)
-        .field("attempt", static_cast<u64>(attempt))
-        .field("backoff_seconds", backoff_seconds)
-        .end_object();
-    // The backoff window is a real slice of campaign wall time: dispatch of
-    // this shard is deferred until the slice's right edge.
-    span_book_->slice("retry shard " + std::to_string(shard) + " backoff",
-                      "farm.retry", span_book_->now_us(),
-                      micros(backoff_seconds), 0, args.str());
-  }
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("shard", shard)
+      .field("attempt", u64{attempt})
+      .field("backoff_seconds", backoff_seconds)
+      .end_object();
+  // The backoff window is a real slice of campaign wall time: dispatch of
+  // this shard is deferred until the slice's right edge.
+  publish("farm_retry", f,
+          "retry shard " + std::to_string(shard) + " backoff", "farm.retry",
+          micros(backoff_seconds));
 }
 
 void CampaignTelemetry::farm_strikeout(u32 index, u32 strikes) {
   registry_.add(c_farm_strikeouts_);
-  emit_farm_event(events(), now_us(), "farm_strikeout", [&](auto& w) {
-    w.field("index", static_cast<u64>(index))
-        .field("strikes", static_cast<u64>(strikes));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("i", static_cast<u64>(index))
-        .field("strikes", static_cast<u64>(strikes))
-        .end_object();
-    span_book_->instant("strikeout i=" + std::to_string(index), "farm",
-                        span_book_->now_us(), 0, args.str());
-  }
+  // The record id is `i`, as in injection/propagation lines and `sfi
+  // explain`.
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("i", u64{index})
+      .field("strikes", u64{strikes})
+      .end_object();
+  publish("farm_strikeout", f, "strikeout i=" + std::to_string(index),
+          "farm");
 }
 
 void CampaignTelemetry::farm_heartbeat_gap(u32 slot, double gap_seconds) {
   registry_.add(c_farm_hb_gaps_);
-  emit_farm_event(events(), now_us(), "farm_heartbeat_gap", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot))
-        .field("gap_seconds", gap_seconds);
-  });
+  telemetry::JsonWriter f;
+  f.begin_object()
+      .field("slot", u64{slot})
+      .field("gap_seconds", gap_seconds)
+      .end_object();
+  publish("farm_heartbeat_gap", f, "heartbeat gap " + std::to_string(slot),
+          "farm");
 }
 
 void CampaignTelemetry::prepare_workers(u32 n) {

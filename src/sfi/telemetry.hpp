@@ -291,6 +291,24 @@ class CampaignTelemetry {
  private:
   friend class WorkerTelemetry;
 
+  /// Clear `w` and open an event line in it: `{"ev":ev,"t_us":now` plus
+  /// `fields` (a JSON object) spliced in. The caller adds any further
+  /// fields and closes the object.
+  telemetry::JsonWriter& begin_event(telemetry::JsonWriter& w,
+                                     std::string_view ev,
+                                     std::string_view fields = {}) const;
+
+  /// Fan one lifecycle fact out. `fields` is its field set, rendered once
+  /// as a JSON object. The event line is `{"ev":ev,"t_us":...,<fields>}`,
+  /// to the log (which tees it to the flight recorder) or, with no log
+  /// open, to the recorder alone. With the span plane on, `fields` is also
+  /// the args of a span named `span` in category `cat`: a slice of
+  /// `dur_us` when given, else an instant. Returns the span's stamp (0:
+  /// plane off).
+  u64 publish(std::string_view ev, const telemetry::JsonWriter& fields,
+              std::string_view span, std::string_view cat,
+              std::optional<u64> dur_us = std::nullopt);
+
   TelemetryConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
   telemetry::MetricsRegistry registry_;

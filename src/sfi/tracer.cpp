@@ -16,45 +16,26 @@ std::string_view to_string(TraceEvent::Kind k) {
   return "?";
 }
 
-InjectionTrace trace_injection(core::Pearl6Model& model, emu::Emulator& emu,
-                               const emu::Checkpoint& reset_checkpoint,
-                               const emu::GoldenTrace& trace,
-                               const avp::GoldenResult& golden,
-                               const FaultSpec& fault, RunConfig cfg) {
-  InjectionTrace out;
-  out.fault = fault;
-  if (fault.target == FaultTarget::Latch) {
-    const netlist::LatchMeta& meta =
-        model.registry().meta_of_ordinal(fault.index);
-    out.latch_name = model.registry().name_of_ordinal(fault.index);
-    out.unit = meta.unit;
-    out.type = meta.type;
-  } else {
-    const auto target = model.arrays().locate(fault.array_bit);
-    out.latch_name = target.array->name() + "[bit " +
-                     std::to_string(target.local_bit) + "]";
-    out.unit = target.array->unit();
+const TraceEvent* first_checker(const std::vector<TraceEvent>& events) {
+  for (const TraceEvent& e : events) {
+    if (e.kind == TraceEvent::Kind::CheckerFired) return &e;
   }
+  return nullptr;
+}
 
-  model.set_cycle_observer([&](const core::Signals& sig,
-                               const core::Controls& ctl) {
+RasEventRecorder::RasEventRecorder(core::Pearl6Model& model,
+                                   const emu::Emulator& emu,
+                                   std::vector<TraceEvent>& events)
+    : model(model) {
+  model.set_cycle_observer([&emu, &events](const core::Signals& sig,
+                                            const core::Controls& ctl) {
     const Cycle cyc = emu.cycle();  // pre-increment cycle index
     for (const core::CheckerEvent& e : sig.events) {
-      TraceEvent te;
-      te.kind = TraceEvent::Kind::CheckerFired;
-      te.cycle = cyc;
-      te.unit = e.unit;
-      te.checker = e.id;
-      te.fatal = e.fatal;
-      te.what = e.what;
-      out.events.push_back(te);
+      events.push_back({TraceEvent::Kind::CheckerFired, cyc, e.unit, e.id,
+                        e.fatal, e.what});
     }
     const auto push = [&](TraceEvent::Kind kind, const char* what) {
-      TraceEvent te;
-      te.kind = kind;
-      te.cycle = cyc;
-      te.what = what;
-      out.events.push_back(te);
+      events.push_back({.kind = kind, .cycle = cyc, .what = what});
     };
     if (sig.corrected > 0) push(TraceEvent::Kind::EccCorrected, "array scrub");
     if (ctl.start_recovery) {
@@ -66,12 +47,40 @@ InjectionTrace trace_injection(core::Pearl6Model& model, emu::Emulator& emu,
     if (ctl.checkstop) push(TraceEvent::Kind::Checkstop, "machine stopped");
     if (ctl.hang) push(TraceEvent::Kind::Hang, "completion watchdog");
   });
+}
 
+FaultOrigin fault_origin(core::Pearl6Model& model, const FaultSpec& fault,
+                         std::string* name) {
+  if (fault.target == FaultTarget::Latch) {
+    const netlist::LatchMeta& meta =
+        model.registry().meta_of_ordinal(fault.index);
+    if (name != nullptr) *name = model.registry().name_of_ordinal(fault.index);
+    return {meta.unit, meta.type};
+  }
+  const auto target = model.arrays().locate(fault.array_bit);
+  if (name != nullptr) {
+    *name = target.array->name() + "[bit " + std::to_string(target.local_bit) +
+            "]";
+  }
+  return {target.array->unit(), netlist::LatchType::Func};
+}
+
+InjectionTrace trace_injection(core::Pearl6Model& model, emu::Emulator& emu,
+                               const emu::Checkpoint& reset_checkpoint,
+                               const emu::GoldenTrace& trace,
+                               const avp::GoldenResult& golden,
+                               const FaultSpec& fault, RunConfig cfg) {
+  InjectionTrace out;
+  out.fault = fault;
+  const FaultOrigin origin = fault_origin(model, fault, &out.latch_name);
+  out.unit = origin.unit;
+  out.type = origin.type;
+
+  const RasEventRecorder ras_events(model, emu, out.events);
   // Tracing must observe the whole propagation; disable the early exit.
   cfg.early_exit = false;
   InjectionRunner runner(model, emu, reset_checkpoint, trace, golden, cfg);
   out.result = runner.run(fault);
-  model.clear_cycle_observer();
   return out;
 }
 

@@ -6,6 +6,12 @@
 // records every checker fire, recovery start/completion, checkstop and hang
 // with its cycle — yielding the full causal chain from the flipped latch to
 // the machine-level outcome.
+//
+// The two observed re-runs of a fault — trace_injection here and the
+// footprint re-run in sfi/propagation.hpp — share the pieces that are the
+// same: the origin lookup (fault_origin) and the RAS-event observer
+// (RasEventRecorder). Their step loops stay separate: the footprint stops
+// at rollback or at its window, a trace runs on to the classified outcome.
 #pragma once
 
 #include <optional>
@@ -34,6 +40,37 @@ struct TraceEvent {
 };
 
 [[nodiscard]] std::string_view to_string(TraceEvent::Kind k);
+
+/// The first checker fire in `events` (null: no checker fired).
+[[nodiscard]] const TraceEvent* first_checker(
+    const std::vector<TraceEvent>& events);
+
+/// Attaches the one RAS-event observer of an observed re-run: while alive,
+/// every checker fire, ECC correction, recovery start/completion, checkstop
+/// and hang `model` signals is appended to `events`, stamped with `emu`'s
+/// (pre-increment) cycle. Detaches on destruction.
+struct RasEventRecorder {
+  RasEventRecorder(core::Pearl6Model& model, const emu::Emulator& emu,
+                   std::vector<TraceEvent>& events);
+  ~RasEventRecorder() { model.clear_cycle_observer(); }
+  RasEventRecorder(const RasEventRecorder&) = delete;
+  RasEventRecorder& operator=(const RasEventRecorder&) = delete;
+  core::Pearl6Model& model;
+};
+
+/// Where a fault lands, as records key it. A protected-array cell is not a
+/// latch: it counts as a FUNC bit of its array's unit.
+struct FaultOrigin {
+  netlist::Unit unit = netlist::Unit::Core;
+  netlist::LatchType type = netlist::LatchType::Func;
+};
+
+/// The one origin lookup behind injection records, traces and footprints.
+/// `name`, when given, receives the flipped target's name ("fxu.gpr2[5]",
+/// "<array>[bit N]").
+[[nodiscard]] FaultOrigin fault_origin(core::Pearl6Model& model,
+                                       const FaultSpec& fault,
+                                       std::string* name = nullptr);
 
 struct InjectionTrace {
   FaultSpec fault;

@@ -3,9 +3,11 @@
 //
 // The log is the campaign's flight recorder (CHAOS-style, arXiv:2602.02119):
 // campaign start/finish, shard dispatch/complete, sampled per-injection
-// records, checkpoint save/restore. Each line carries an "ev" kind and a
-// monotonic "t_us" timestamp so offline tools can reconstruct the timeline
-// without parsing anything but line-delimited JSON.
+// records, checkpoint save/restore, farm supervision. Each line carries an
+// "ev" kind and a monotonic "t_us" timestamp so offline tools can
+// reconstruct the timeline without parsing anything but line-delimited
+// JSON. Its consumers are `--events-out` users (the file) and the crash
+// flight recorder (emit() tees every line into its ring).
 //
 // Writers format their line locally (JsonWriter, no lock held), then emit()
 // takes one mutex for the append — the log is never on the per-cycle hot

@@ -16,6 +16,10 @@ FlightRecorder& FlightRecorder::global() {
   return *instance;
 }
 
+FlightRecorder::~FlightRecorder() {
+  delete[] slots_.load(std::memory_order_acquire);
+}
+
 void FlightRecorder::enable(std::size_t slots) {
   if (slots == 0 || enabled()) return;
   Slot* ring = new Slot[slots];  // zero-length slots: empty

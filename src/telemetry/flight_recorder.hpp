@@ -44,6 +44,9 @@ class FlightRecorder {
   static constexpr std::size_t kLineBytes = 480;
 
   FlightRecorder() = default;
+  /// Frees the ring. global() is never destroyed, so signal handlers can
+  /// read its ring at any point of process teardown.
+  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 

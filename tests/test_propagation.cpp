@@ -4,6 +4,7 @@
 // faults produce non-trivial infection footprints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "sched/scheduler.hpp"
 #include "sfi/campaign.hpp"
 #include "sfi/propagation.hpp"
+#include "sfi/tracer.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
@@ -366,6 +368,39 @@ TEST(PropagationCampaign, RecordsIdenticalAndFootprintsNonTrivial) {
   }
   EXPECT_GT(nonvanished, 0u);
   EXPECT_GT(with_peak, 0u);
+}
+
+TEST(PropagationCampaign, FirstCheckerIsTheTracedFirstCheckerEvent) {
+  // The footprint re-run and trace_injection share one RAS-event observer:
+  // for a detected fault, the footprint's first checker is the first
+  // CheckerFired event `sfi trace` reports for the same fault.
+  const avp::Testcase tc = small_testcase(21);
+  inject::CampaignConfig cfg;
+  cfg.seed = 1234;
+  cfg.num_injections = 150;
+  cfg.threads = 1;
+  cfg.footprint.enabled = true;
+  const inject::CampaignResult r = inject::run_campaign(tc, cfg);
+  const auto hit = std::find_if(
+      r.footprints.begin(), r.footprints.end(),
+      [](const PropagationRecord& p) { return p.checker_fired; });
+  ASSERT_NE(hit, r.footprints.end());
+
+  const inject::CampaignPlan plan = inject::plan_campaign(tc, cfg);
+  core::Pearl6Model model(cfg.core);
+  model.load_workload(tc.program, tc.init);
+  emu::Emulator emu(model);
+  emu.reset();
+  const emu::Checkpoint reset_cp = emu.save_checkpoint();
+  const inject::InjectionTrace t =
+      inject::trace_injection(model, emu, reset_cp, plan.trace, plan.golden,
+                              plan.faults[hit->index]);
+  const inject::TraceEvent* first = inject::first_checker(t.events);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->checker, hit->checker);
+  EXPECT_EQ(first->fatal, hit->checker_fatal);
+  EXPECT_EQ(t.unit, hit->unit);
+  EXPECT_EQ(t.type, hit->type);
 }
 
 TEST(PropagationCampaign, EveryCycleSamplingYieldsDenseOffsets) {

@@ -11,9 +11,11 @@
 // disconnects never takes a campaign down with it.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -698,6 +700,67 @@ TEST(Daemon, RejectsBadSubmissionsAndUnknownOps) {
   // The daemon survives all of the above.
   const Json ping = h.request(R"({"op":"ping"})");
   EXPECT_TRUE(ping.get_bool("ok", false));
+}
+
+TEST(Daemon, InputLimitsIsolateMisbehavingClients) {
+  // One fixed-N campaign (target never met), run twice: alone, and next to
+  // a client that streams more than the 1 MiB request limit with no
+  // newline plus clients that stay connected but never read. The
+  // misbehaving clients must cost the tenant nothing: the same store
+  // bytes, a live status op and a clean shutdown.
+  constexpr const char* kSpec =
+      R"("tenant":"other","seed":7,"testcase_seed":11,"instructions":80,)"
+      R"("n":400,"half_width":0.0001)";
+  TempDir alone("limits_alone");
+  {
+    DaemonHarness h(alone.path());
+    (void)h.watch(h.submit(kSpec));
+  }
+
+  TempDir dir("limits");
+  DaemonHarness h(dir.path());
+  const u64 id = h.submit(kSpec);
+  ASSERT_NE(id, 0u);
+
+  // Never read: one watcher, and one client that pipelines status requests.
+  LineChannel mute_watcher(connect_to(h.addr()));
+  ASSERT_TRUE(mute_watcher.send_line(R"({"op":"watch","id":)" +
+                                     std::to_string(id) + "}"));
+  LineChannel mute_status(connect_to(h.addr()));
+  for (int k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(mute_status.send_line(R"({"op":"status"})"));
+  }
+
+  // Oversized: 1 MiB + 64 KiB with no newline. The daemon must hang up.
+  LineChannel hog(connect_to(h.addr()));
+  timeval tv{};
+  tv.tv_sec = 30;
+  ASSERT_EQ(::setsockopt(hog.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv),
+            0);
+  const std::string chunk(64 << 10, 'x');
+  for (int k = 0; k < 17; ++k) {
+    if (::send(hog.fd(), chunk.data(), chunk.size(), MSG_NOSIGNAL) <= 0) {
+      break;  // already disconnected mid-stream
+    }
+  }
+  char byte = 0;
+  const ssize_t got = ::recv(hog.fd(), &byte, 1, 0);
+  EXPECT_TRUE(got == 0 || (got < 0 && errno == ECONNRESET))
+      << "oversized request was not disconnected (recv " << got << ")";
+
+  const Json status = h.request(R"({"op":"status"})");
+  EXPECT_TRUE(status.get_bool("ok", false));
+  const std::vector<Json> events = h.watch(id);
+  const Json* finish = find_event(events, "finish");
+  ASSERT_NE(finish, nullptr);
+  EXPECT_EQ(finish->get_u64("records", 0), 400u);
+  EXPECT_EQ(slurp(dir.file("campaign-1.sfr")),
+            slurp(alone.file("campaign-1.sfr")));
+
+  const Json bye = h.request(R"({"op":"shutdown"})");
+  EXPECT_TRUE(bye.get_bool("ok", false));
+  h.stop();
+  EXPECT_EQ(h.rc(), 0);
 }
 
 // --- HTTP observability plane ----------------------------------------------

@@ -330,6 +330,39 @@ TEST(EventLog, EmitsOneLinePerEvent) {
   EXPECT_EQ(slurp(f.path()), "{\"ev\":\"a\"}\n{\"ev\":\"b\"}\n");
 }
 
+TEST(CampaignTelemetry, LifecycleSpanArgsAreTheEventLineFields) {
+  // One fact, one record: for every lifecycle and farm supervision hook the
+  // span's args are exactly the event line's fields, less "ev" and "t_us".
+  TempFile f("lifecycle.jsonl");
+  inject::CampaignTelemetry tel;
+  tel.open_event_log(f.path());
+  tel.enable_span_plane("test", 0);
+  tel.campaign_start("campaign", 7, 100, 3);
+  tel.farm_worker_spawned(1, 4242, 2);
+  tel.farm_worker_exited(1, 4242, false, -9);
+  tel.farm_watchdog_kill(0, 4243, 17u);
+  tel.farm_shard_retry(5, 2, 0.25);
+  tel.farm_strikeout(17, 3);
+  tel.farm_heartbeat_gap(0, 1.5);
+  tel.events()->flush();
+
+  const std::vector<telemetry::SpanRecord> spans = tel.spans()->snapshot();
+  std::istringstream lines(slurp(f.path()));
+  std::string line;
+  std::size_t n = 0;
+  const std::regex head(R"re(^\{"ev":"[a-z_]+","t_us":\d+,)re");
+  for (; std::getline(lines, line); ++n) {
+    ASSERT_LT(n, spans.size()) << line;
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(line, m, head)) << line;
+    EXPECT_EQ("{" + m.suffix().str(), spans[n].args_json) << spans[n].name;
+  }
+  EXPECT_EQ(n, 7u);
+  EXPECT_EQ(spans.size(), 7u);
+  EXPECT_EQ(spans[5].args_json, R"({"i":17,"strikes":3})");
+  EXPECT_EQ(spans[6].name, "heartbeat gap 0");
+}
+
 // --- campaign integration -------------------------------------------------
 
 avp::Testcase small_testcase() {

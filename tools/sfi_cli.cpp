@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -94,6 +95,7 @@ double parse_f64(const std::string& key, const std::string& value) {
   if (end != value.c_str() + value.size()) {
     return fail("trailing characters after the number");
   }
+  if (!std::isfinite(v)) return fail("expected a finite number");
   return v;
 }
 
@@ -491,6 +493,16 @@ inject::EngineKind engine_from(const Args& a) {
   return *kind;
 }
 
+/// --ckpt-mem, given in MiB, as bytes (campaign and beam).
+u64 ckpt_mem_bytes(const Args& a) {
+  const u64 mib = a.num("ckpt-mem");
+  if (mib > (~u64{0} >> 20)) {
+    throw CliError("invalid value for --ckpt-mem: '" + std::to_string(mib) +
+                   "' (out of range: at most 2^44-1 MiB)");
+  }
+  return mib << 20;
+}
+
 /// The campaign-defining options (the ones exec-mode workers receive).
 inject::CampaignConfig campaign_config(const Args& a) {
   inject::CampaignConfig cfg;
@@ -498,7 +510,7 @@ inject::CampaignConfig campaign_config(const Args& a) {
   cfg.num_injections = a.num("n");
   cfg.core.checkers_enabled = !a.given("raw");
   if (a.given("ckpt-interval")) cfg.ckpt_interval = a.num("ckpt-interval");
-  cfg.ckpt_memory_budget = a.num("ckpt-mem") << 20;
+  cfg.ckpt_memory_budget = ckpt_mem_bytes(a);
   if (const auto d = a.num("sticky"); d != 0) {
     cfg.mode = inject::FaultMode::Sticky;
     cfg.sticky_duration = d;
@@ -1086,7 +1098,7 @@ int cmd_beam(const Args& a) {
   cfg.threads = a.num("threads");
   cfg.core.checkers_enabled = !a.given("raw");
   if (a.given("ckpt-interval")) cfg.ckpt_interval = a.num("ckpt-interval");
-  cfg.ckpt_memory_budget = a.num("ckpt-mem") << 20;
+  cfg.ckpt_memory_budget = ckpt_mem_bytes(a);
   const double confidence = confidence_from(a);
   const Telemetry tel = make_telemetry(a, "sfi beam");
   cfg.telemetry = tel.get();
