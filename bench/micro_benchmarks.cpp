@@ -4,6 +4,8 @@
 // injections per second.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "avp/runner.hpp"
 #include "avp/testgen.hpp"
 #include "common/hash.hpp"
@@ -71,6 +73,40 @@ void BM_CoreCycle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_CoreCycle);
+
+// One convergence poll of the injection runner: the exact masked compare of
+// the live state against the golden trace's pre-masked state. A diverged
+// run differs at a fixed mid-vector word and keeps its hint across polls, as
+// the runner does; a converged run scans every word.
+void BM_ConvergencePoll(benchmark::State& state, bool diverged) {
+  const avp::Testcase tc = [&] {
+    avp::TestcaseConfig cfg;
+    cfg.seed = 3;
+    return avp::generate_testcase(cfg);
+  }();
+  core::Pearl6Model model;
+  model.load_workload(tc.program, tc.init);
+  emu::Emulator emu(model);
+  emu.reset();
+  emu.run(200);
+  const auto& masks = model.registry().hash_masks();
+  std::vector<u64> ref(masks.size());
+  for (std::size_t w = 0; w < masks.size(); ++w) {
+    ref[w] = emu.state().words()[w] & masks[w];
+  }
+  if (diverged) {
+    std::size_t w = masks.size() / 2;
+    while (masks[w] == 0) ++w;
+    ref[w] ^= masks[w] & (~masks[w] + 1);
+  }
+  u32 hint = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(emu.state().masked_equals(masks, ref.data(), hint));
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_ConvergencePoll, diverged, true);
+BENCHMARK_CAPTURE(BM_ConvergencePoll, converged, false);
 
 void BM_GoldenModelInstruction(benchmark::State& state) {
   const avp::Testcase tc = [&] {

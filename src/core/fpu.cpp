@@ -29,6 +29,24 @@ Fpu::Fpu(netlist::LatchRegistry& reg)
     st_[i].pcn = netlist::Field(reg.add(n + ".pcn", Unit::FPU, LatchType::Func, kRing, 16));
     st_[i].ctlpar = netlist::Flag(reg.add(n + ".ctl.p", Unit::FPU, LatchType::Func, kRing, 1));
   }
+  const auto copy = [&](const auto& from, const auto& to) {
+    netlist::add_field_copy(advance_, from.bit_offset(), to.bit_offset(),
+                            from.width());
+  };
+  for (u32 i = kStages - 1; i >= 1; --i) {
+    const Stage& to = st_[i];
+    const Stage& from = st_[i - 1];
+    copy(from.v, to.v);
+    copy(from.mn, to.mn);
+    copy(from.dest, to.dest);
+    copy(from.a, to.a);
+    copy(from.apar, to.apar);
+    copy(from.b, to.b);
+    copy(from.bpar, to.bpar);
+    copy(from.pc, to.pc);
+    copy(from.pcn, to.pcn);
+    copy(from.ctlpar, to.ctlpar);
+  }
 }
 
 bool Fpu::any_valid(const netlist::CycleFrame& f) const {
@@ -84,20 +102,7 @@ void Fpu::update(const netlist::CycleFrame& f, const Plan& plan,
     return;
   }
   // Advance the pipe back-to-front.
-  for (u32 i = kStages - 1; i >= 1; --i) {
-    Stage& to = st_[i];
-    Stage& from = st_[i - 1];
-    to.v.set(f, from.v.get(f));
-    to.mn.set(f, from.mn.get(f));
-    to.dest.set(f, from.dest.get(f));
-    to.a.set(f, from.a.get(f));
-    to.apar.set(f, from.apar.get(f));
-    to.b.set(f, from.b.get(f));
-    to.bpar.set(f, from.bpar.get(f));
-    to.pc.set(f, from.pc.get(f));
-    to.pcn.set(f, from.pcn.get(f));
-    to.ctlpar.set(f, from.ctlpar.get(f));
-  }
+  for (const netlist::WordMove& m : advance_) f.nxt.apply_move(f.cur, m);
   Stage& s1 = st_[0];
   if (issue) {
     const IssueBundle& is = *issue;

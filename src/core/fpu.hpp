@@ -8,6 +8,7 @@
 
 #include <array>
 #include <optional>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/mode_ring.hpp"
@@ -63,6 +64,9 @@ class Fpu {
   SpareChain spares_;
   ParityRegFile fpr_;
   std::array<Stage, kStages> st_;
+  // The pipe advance (every stage i-1 field copied onto stage i, back to
+  // front) as word moves, fields sharing a word and a shift merged.
+  std::vector<netlist::WordMove> advance_;
 };
 
 }  // namespace sfi::core

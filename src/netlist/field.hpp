@@ -72,6 +72,7 @@ class Flag {
     return field_.peek(sv) != 0;
   }
   void poke(StateVector& sv, bool v) const { field_.poke(sv, v ? 1 : 0); }
+  [[nodiscard]] u32 width() const { return 1; }
   [[nodiscard]] u32 bit_offset() const { return field_.bit_offset(); }
 
  private:

@@ -8,6 +8,27 @@
 
 namespace sfi::netlist {
 
+void add_field_copy(std::vector<WordMove>& moves, u32 src_offset,
+                    u32 dst_offset, u32 width) {
+  const u32 src_lsb = src_offset % 64;
+  const u32 dst_lsb = dst_offset % 64;
+  ensure(width >= 1 && src_lsb + width <= 64 && dst_lsb + width <= 64,
+         "add_field_copy: a field straddles a word");
+  const u32 src_word = src_offset / 64;
+  const u32 dst_word = dst_offset / 64;
+  const i32 shift = static_cast<i32>(dst_lsb) - static_cast<i32>(src_lsb);
+  const u64 src_mask = mask_low(width) << src_lsb;
+  const u64 dst_mask = mask_low(width) << dst_lsb;
+  for (WordMove& m : moves) {
+    if (m.src_word == src_word && m.dst_word == dst_word && m.shift == shift) {
+      m.src_mask |= src_mask;
+      m.dst_mask |= dst_mask;
+      return;
+    }
+  }
+  moves.push_back({src_word, dst_word, shift, src_mask, dst_mask});
+}
+
 StateVector::StateVector(u32 num_bits)
     : words_(words_for_bits(num_bits), 0), num_bits_(num_bits) {}
 
@@ -42,27 +63,12 @@ void StateVector::flip_bit(BitIndex i) {
   words_[i / 64] ^= u64{1} << (i % 64);
 }
 
-u64 StateVector::read(u32 offset, u32 width) const {
-  ensure(offset + width <= num_bits_, "StateVector::read out of range");
-  const u32 lsb = offset % 64;
-  ensure(lsb + width <= 64, "StateVector::read straddles a word");
-  if (recorder_ != nullptr) [[unlikely]] {
-    recorder_->on_read(offset / 64, mask_low(width) << lsb);
-  }
-  return (words_[offset / 64] >> lsb) & mask_low(width);
+void StateVector::note_read(u32 word, u64 mask) const {
+  recorder_->on_read(word, mask);
 }
 
-void StateVector::write(u32 offset, u32 width, u64 v) {
-  ensure(offset + width <= num_bits_, "StateVector::write out of range");
-  const u32 lsb = offset % 64;
-  ensure(lsb + width <= 64, "StateVector::write straddles a word");
-  if (recorder_ != nullptr) [[unlikely]] {
-    // Only the field's own bits count as written: insert() preserves the
-    // rest of the word, which is a carry, not a write.
-    recorder_->on_write(offset / 64, mask_low(width) << lsb);
-  }
-  u64& w = words_[offset / 64];
-  w = insert(w, lsb, width, v);
+void StateVector::note_write(u32 word, u64 mask) const {
+  recorder_->on_write(word, mask);
 }
 
 u64 StateVector::masked_hash(std::span<const u64> masks) const {
@@ -94,11 +100,16 @@ u64 StateVector::masked_hash(std::span<const u64> masks) const {
   return mix64(h0 ^ mix64(h1 ^ mix64(h2 ^ mix64(h3 ^ (n * kM1)))));
 }
 
-bool StateVector::masked_equals(std::span<const u64> masks,
-                                const u64* ref) const {
+bool StateVector::masked_equals(std::span<const u64> masks, const u64* ref,
+                                u32& hint) const {
   ensure(masks.size() == words_.size(), "mask/word size mismatch");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & masks[i]) != ref[i]) return false;
+  const std::size_t n = words_.size();
+  if (hint < n && (words_[hint] & masks[hint]) != ref[hint]) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((words_[i] & masks[i]) != ref[i]) {
+      hint = static_cast<u32>(i);
+      return false;
+    }
   }
   return true;
 }

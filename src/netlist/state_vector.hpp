@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "common/bits.hpp"
+#include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/types.hpp"
 
@@ -68,6 +70,27 @@ class AccessRecorder {
   std::vector<u32> write_words_;
 };
 
+/// A precomputed copy of bits between two vectors, one word to one word:
+/// dst[dst_word] takes (src[src_word] & src_mask) shifted left by `shift`
+/// (right when negative) in the bits of dst_mask, the rest of the
+/// destination word is kept. dst_mask is src_mask shifted the same way.
+/// Built by add_field_copy(); applied by StateVector::apply_move().
+struct WordMove {
+  u32 src_word = 0;
+  u32 dst_word = 0;
+  i32 shift = 0;
+  u64 src_mask = 0;
+  u64 dst_mask = 0;
+};
+
+/// Append the copy of the `width`-bit field at `src_offset` onto the field
+/// at `dst_offset` to `moves`. A copy that shares source word, destination
+/// word and shift with an earlier move is merged into it, so a move list
+/// touches each word in the same first-touch order as the field-by-field
+/// copies it replaces. Neither field may straddle a word.
+void add_field_copy(std::vector<WordMove>& moves, u32 src_offset,
+                    u32 dst_offset, u32 width);
+
 class StateVector {
  public:
   StateVector() = default;
@@ -107,21 +130,68 @@ class StateVector {
   void set_bit(BitIndex i, bool v);
   void flip_bit(BitIndex i);
 
+  // read()/write() are the model's latch-field accessors, called at every
+  // field access of every evaluated cycle, so they are forced inline: the
+  // checks stay, but their throw paths and the recorder hook are out-of-line
+  // calls on never-taken (unarmed) branches.
+
   /// Read a field of `width` bits at `offset`. The field must not straddle a
   /// word (guaranteed by LatchRegistry's allocator).
-  [[nodiscard]] u64 read(u32 offset, u32 width) const;
+  [[nodiscard]] [[gnu::always_inline]] u64 read(u32 offset, u32 width) const {
+    ensure(offset + width <= num_bits_, "StateVector::read out of range");
+    const u32 lsb = offset % 64;
+    ensure(lsb + width <= 64, "StateVector::read straddles a word");
+    if (recorder_ != nullptr) [[unlikely]] {
+      note_read(offset / 64, mask_low(width) << lsb);
+    }
+    return (words_[offset / 64] >> lsb) & mask_low(width);
+  }
   /// Write the low `width` bits of `v` into the field at `offset`.
-  void write(u32 offset, u32 width, u64 v);
+  [[gnu::always_inline]] void write(u32 offset, u32 width, u64 v) {
+    ensure(offset + width <= num_bits_, "StateVector::write out of range");
+    const u32 lsb = offset % 64;
+    ensure(lsb + width <= 64, "StateVector::write straddles a word");
+    if (recorder_ != nullptr) [[unlikely]] {
+      // Only the field's own bits count as written: insert() preserves the
+      // rest of the word, which is a carry, not a write.
+      note_write(offset / 64, mask_low(width) << lsb);
+    }
+    u64& w = words_[offset / 64];
+    w = insert(w, lsb, width, v);
+  }
+
+  /// Apply one word move from `src` into this vector (see WordMove). Reports
+  /// a read of src_mask on `src` and a write of dst_mask on this vector to
+  /// their armed recorders, the same bits the field copies it replaces read
+  /// and write. `src` must not be this vector.
+  void apply_move(const StateVector& src, const WordMove& m) {
+    ensure(m.src_word < src.words_.size() && m.dst_word < words_.size(),
+           "StateVector::apply_move out of range");
+    if (src.recorder_ != nullptr) [[unlikely]] {
+      src.note_read(m.src_word, m.src_mask);
+    }
+    if (recorder_ != nullptr) [[unlikely]] {
+      note_write(m.dst_word, m.dst_mask);
+    }
+    const u64 v = src.words_[m.src_word] & m.src_mask;
+    const u64 moved = m.shift >= 0 ? v << m.shift : v >> -m.shift;
+    u64& w = words_[m.dst_word];
+    w = (w & ~m.dst_mask) | moved;
+  }
 
   /// Fingerprint of the bits selected by `masks` (one AND-mask per word, as
   /// produced by LatchRegistry::hash_masks()).
   [[nodiscard]] u64 masked_hash(std::span<const u64> masks) const;
 
   /// Exact compare of the masked state against a pre-masked reference
-  /// (ref[i] == words[i] & masks[i] for all i). Early-outs on the first
-  /// differing word, so polling a diverged state is nearly free.
-  [[nodiscard]] bool masked_equals(std::span<const u64> masks,
-                                   const u64* ref) const;
+  /// (ref[i] == words[i] & masks[i] for all i). Word `hint` is tested first:
+  /// a diverged run usually still differs where the previous poll found it,
+  /// so that poll costs one word. Otherwise the scan early-outs on the first
+  /// differing word and stores its index in `hint` for the next poll. Any
+  /// hint (stale, or >= the word count) gives the same answer as a full
+  /// scan; start each run's polls with 0.
+  [[nodiscard]] bool masked_equals(std::span<const u64> masks, const u64* ref,
+                                   u32& hint) const;
 
   /// Number of bit positions (under `masks`) where *this differs from other.
   [[nodiscard]] u32 masked_distance(const StateVector& other,
@@ -148,6 +218,10 @@ class StateVector {
   }
 
  private:
+  // The recorder hooks of the inlined accessors, out of line.
+  [[gnu::noinline]] void note_read(u32 word, u64 mask) const;
+  [[gnu::noinline]] void note_write(u32 word, u64 mask) const;
+
   std::vector<u64> words_;
   u32 num_bits_ = 0;
   AccessRecorder* recorder_ = nullptr;

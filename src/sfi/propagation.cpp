@@ -78,6 +78,7 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
   constexpr std::size_t kRegFileGroup =
       netlist::kNumUnits + static_cast<std::size_t>(netlist::LatchType::RegFile);
   const bool sticky = fault.mode == FaultMode::Sticky;
+  u32 mask_poll_hint = 0;  // see InjectionRunner::continue_run's poll_hint
   const bool escape = primary.outcome == Outcome::Hang ||
                       primary.outcome == Outcome::Checkstop ||
                       primary.outcome == Outcome::BadArchState;
@@ -150,7 +151,7 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
     // soundness condition as the runner's convergence poll: invalid while a
     // sticky force is armed; recovery skew is handled by the break above).
     if (!(sticky && now <= fault.cycle + fault.sticky_duration) &&
-        emu_.state().masked_equals(masks, ref)) {
+        emu_.state().masked_equals(masks, ref, mask_poll_hint)) {
       rec.masked = true;
       rec.masked_at = offset;
       FootprintSample zero;  // terminal sample: the series returns to zero

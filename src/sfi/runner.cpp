@@ -214,6 +214,9 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
   double sampled_poll_seconds = 0.0;
   u64 sampled_polls = 0;
   u64 polls = 0;
+  // First differing word of the last exact poll: a diverged run is rejected
+  // by one word compare while it still differs there.
+  u32 poll_hint = 0;
 
   // Terminal path shared by every exit: classification is its own timed
   // phase; the loop's wall time minus the poll aggregate is post-fault sim.
@@ -284,7 +287,8 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
           time_this_poll ? std::chrono::steady_clock::now() : Tick{};
       const bool converged =
           trace_.has_states()
-              ? emu_.state().masked_equals(masks, trace_.masked_state(now - 1))
+              ? emu_.state().masked_equals(
+                    masks, trace_.masked_state(now - 1), poll_hint)
               : emu_.state().masked_hash(masks) == trace_.hashes[now - 1];
       if (time_this_poll) {
         sampled_poll_seconds +=

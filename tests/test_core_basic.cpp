@@ -3,9 +3,14 @@
 // stands on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <random>
+#include <string>
 
 #include "core/core_model.hpp"
+#include "core/fpu.hpp"
 #include "emu/emulator.hpp"
 #include "emu/golden_trace.hpp"
 #include "isa/assembler.hpp"
@@ -220,6 +225,83 @@ TEST(CoreBasic, FloatingPointPipeline) {
   )", init);
   expect_match(r);
   EXPECT_EQ(std::bit_cast<double>(r.core_state.fpr[4]), 10.0);
+}
+
+// The FPU advances its pipe as precomputed word moves. They must stage
+// exactly what copying every stage field onto the next one does, and report
+// exactly the same read and write bits to an armed recorder, in the same
+// first-touch word order: the lane engine trips lanes on those sets.
+TEST(CoreBasic, FpuPipeWordMovesEqualFieldByFieldShift) {
+  netlist::LatchRegistry reg;
+  Fpu fpu(reg);
+  reg.finalize();
+
+  constexpr std::array<const char*, 10> kSuffixes = {
+      ".v", ".mn", ".dest", ".a", ".a.p", ".b", ".b.p", ".pc", ".pcn",
+      ".ctl.p"};
+  constexpr u32 kStages = CoreConfig::kFpuStages;
+  std::array<std::array<netlist::Field, kSuffixes.size()>, kStages> st;
+  for (u32 i = 0; i < kStages; ++i) {
+    for (std::size_t k = 0; k < kSuffixes.size(); ++k) {
+      const std::string name =
+          "fpu.s" + std::to_string(i + 1) + kSuffixes[k];
+      const netlist::LatchMeta* meta = nullptr;
+      for (const netlist::LatchMeta& m : reg.fields()) {
+        if (m.name == name) meta = &m;
+      }
+      ASSERT_NE(meta, nullptr) << name;
+      st[i][k] = netlist::Field({meta->bit_offset, meta->width});
+    }
+  }
+
+  struct Machine {
+    netlist::StateVector cur, nxt;
+    netlist::AccessRecorder rec;
+  };
+  std::mt19937_64 rng(11);
+  const auto random_state = [&](netlist::StateVector& sv) {
+    sv = netlist::StateVector(reg.total_bits());
+    auto w = sv.words_mut();
+    for (u64& x : w) x = rng();
+    if (reg.total_bits() % 64 != 0) {
+      w[w.size() - 1] &= mask_low(reg.total_bits() % 64);
+    }
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    Machine fast, ref;
+    random_state(fast.cur);
+    random_state(fast.nxt);
+    ref.cur = fast.cur;
+    ref.nxt = fast.nxt;
+    for (Machine* m : {&fast, &ref}) {
+      m->rec.bind(m->cur.words().size());
+      m->cur.set_recorder(&m->rec);
+      m->nxt.set_recorder(&m->rec);
+      m->rec.begin_cycle();
+    }
+
+    fpu.update(netlist::CycleFrame{fast.cur, fast.nxt}, Fpu::Plan{},
+               Controls{}, std::nullopt);
+
+    // Reference: back to front, field by field, then the empty stage 1.
+    const netlist::CycleFrame f{ref.cur, ref.nxt};
+    for (u32 i = kStages - 1; i >= 1; --i) {
+      for (std::size_t k = 0; k < kSuffixes.size(); ++k) {
+        st[i][k].set(f, st[i - 1][k].get(f));
+      }
+    }
+    st[0][0].set(f, 0);
+
+    ASSERT_EQ(fast.nxt, ref.nxt) << "trial " << trial;
+    EXPECT_EQ(fast.cur, ref.cur);
+    const auto same = [](auto a, auto b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    EXPECT_TRUE(same(fast.rec.reads(), ref.rec.reads()));
+    EXPECT_TRUE(same(fast.rec.writes(), ref.rec.writes()));
+    EXPECT_TRUE(same(fast.rec.read_words(), ref.rec.read_words()));
+    EXPECT_TRUE(same(fast.rec.write_words(), ref.rec.write_words()));
+  }
 }
 
 TEST(CoreBasic, FpMemoryRoundTrip) {

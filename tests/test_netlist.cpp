@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "netlist/field.hpp"
 #include "netlist/registry.hpp"
 #include "netlist/state_vector.hpp"
@@ -120,6 +126,140 @@ TEST(StateVector, FieldReadWrite) {
   EXPECT_EQ(sv.read(64, 64), ~u64{0});
   // Neighbouring fields unaffected.
   EXPECT_EQ(sv.read(19, 16), 0u);
+}
+
+// The message a throwing call reports, or "" when it does not throw `E`.
+template <typename E, typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StateVector, AccessorChecksKeepTheirExceptionsAndMessages) {
+  StateVector sv(128);
+  EXPECT_EQ(thrown_message<InternalError>([&] { (void)sv.read(120, 16); }),
+            "sfi internal error: StateVector::read out of range");
+  EXPECT_EQ(thrown_message<InternalError>([&] { (void)sv.read(60, 8); }),
+            "sfi internal error: StateVector::read straddles a word");
+  EXPECT_EQ(thrown_message<InternalError>([&] { sv.write(120, 16, 1); }),
+            "sfi internal error: StateVector::write out of range");
+  EXPECT_EQ(thrown_message<InternalError>([&] { sv.write(60, 8, 1); }),
+            "sfi internal error: StateVector::write straddles a word");
+  EXPECT_EQ(thrown_message<UsageError>([&] { (void)sv.get_bit(128); }),
+            "sfi usage error: StateVector::get_bit out of range");
+  EXPECT_EQ(thrown_message<UsageError>([&] { sv.flip_bit(200); }),
+            "sfi usage error: StateVector::flip_bit out of range");
+  // A failed write leaves the vector untouched.
+  EXPECT_EQ(sv, StateVector(128));
+}
+
+// The convergence poll's contract: whatever the hint, the answer is the one
+// a plain scan of every word gives, and a false answer leaves the hint on a
+// word that really differs.
+TEST(StateVector, HintedMaskedEqualsMatchesFullScan) {
+  constexpr u32 kBits = 64 * 11 + 20;
+  std::mt19937_64 rng(17);
+  StateVector sv(kBits);
+  const std::size_t n = sv.words().size();
+  std::vector<u64> masks(n);
+  for (u64& m : masks) m = rng();
+  masks[3] = 0;  // a word with nothing hashable
+  masks[n - 1] &= mask_low(kBits % 64);
+  std::vector<u64> ref(n);
+
+  const auto full_scan = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((sv.words()[i] & masks[i]) != ref[i]) return false;
+    }
+    return true;
+  };
+  const auto differs = [&](u32 w) {
+    return w < n && (sv.words()[w] & masks[w]) != ref[w];
+  };
+  const std::vector<u32> fixed_hints = {
+      0, static_cast<u32>(n - 1), static_cast<u32>(n), static_cast<u32>(n + 7),
+      std::numeric_limits<u32>::max()};
+
+  for (int trial = 0; trial < 400; ++trial) {
+    for (std::size_t i = 0; i < n; ++i) sv.words_mut()[i] = rng() & masks[i];
+    ref.assign(sv.words().begin(), sv.words().end());
+    // 0 (converged) to 4 differing words; bits outside the masks differ too
+    // and must be ignored.
+    std::vector<u32> words;
+    for (u32 w = 0; w < n; ++w) {
+      if (masks[w] != 0) words.push_back(w);
+    }
+    std::shuffle(words.begin(), words.end(), rng);
+    const int num_diffs = trial % 5;
+    for (int d = 0; d < num_diffs; ++d) {
+      const u32 w = words[d];
+      u64 bits = rng() & masks[w];
+      if (bits == 0) bits = masks[w] & (~masks[w] + 1);  // lowest masked bit
+      sv.words_mut()[w] ^= bits;
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) sv.words_mut()[i] |= ~masks[i];
+    sv.words_mut()[n - 1] |= ~masks[n - 1] & mask_low(kBits % 64);
+
+    std::vector<u32> hints = fixed_hints;
+    hints.push_back(static_cast<u32>(rng() % n));  // stale or current
+    for (const u32 start : hints) {
+      u32 hint = start;
+      const bool expect = full_scan();
+      ASSERT_EQ(sv.masked_equals(masks, ref.data(), hint), expect)
+          << "trial " << trial << " hint " << start;
+      if (expect) {
+        EXPECT_EQ(hint, start) << "a converged poll leaves the hint alone";
+      } else {
+        EXPECT_TRUE(differs(hint)) << "trial " << trial << " hint " << start;
+      }
+    }
+  }
+
+  // A poll sequence sharing one hint, as the runner keeps it across cycles:
+  // differing words are repaired one by one until the state converges.
+  for (std::size_t i = 0; i < n; ++i) sv.words_mut()[i] = rng() & masks[i];
+  ref.assign(sv.words().begin(), sv.words().end());
+  const std::vector<u32> diverged = {9, 2, 6, 10};
+  for (const u32 w : diverged) sv.words_mut()[w] ^= masks[w];
+  u32 hint = 0;
+  for (const u32 w : diverged) {
+    EXPECT_FALSE(sv.masked_equals(masks, ref.data(), hint));
+    EXPECT_TRUE(differs(hint));
+    sv.words_mut()[w] ^= masks[w];
+  }
+  EXPECT_TRUE(sv.masked_equals(masks, ref.data(), hint));
+}
+
+TEST(WordMove, FieldCopiesMergeByWordsAndShift) {
+  std::vector<WordMove> moves;
+  add_field_copy(moves, 0, 64 + 8, 4);   // word 0 -> 1, shift +8
+  add_field_copy(moves, 64, 128, 64);    // word 1 -> 2, shift 0
+  add_field_copy(moves, 10, 64 + 18, 6);  // merges into the first move
+  add_field_copy(moves, 20, 64 + 30, 4);  // same words, another shift
+  ASSERT_EQ(moves.size(), 3u);
+  EXPECT_EQ(moves[0].src_mask, u64{0xF} | (u64{0x3F} << 10));
+  EXPECT_EQ(moves[0].dst_mask, moves[0].src_mask << 8);
+  EXPECT_EQ(moves[1].src_mask, ~u64{0});
+  EXPECT_EQ(moves[2].shift, 10);
+  EXPECT_THROW(add_field_copy(moves, 60, 64, 8), InternalError);
+
+  StateVector src(192);
+  StateVector dst(192);
+  src.write(0, 4, 0x9);
+  src.write(10, 6, 0x2A);
+  src.write(64, 64, 0x0123456789ABCDEFULL);
+  src.write(20, 4, 0x5);
+  dst.write(64, 8, 0xFF);  // outside every destination field: kept
+  for (const WordMove& m : moves) dst.apply_move(src, m);
+  EXPECT_EQ(dst.read(64 + 8, 4), 0x9u);
+  EXPECT_EQ(dst.read(64 + 18, 6), 0x2Au);
+  EXPECT_EQ(dst.read(128, 64), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(dst.read(64 + 30, 4), 0x5u);
+  EXPECT_EQ(dst.read(64, 8), 0xFFu);
 }
 
 TEST(StateVector, EqualityAndDistance) {
